@@ -1,5 +1,8 @@
 """Command line surface: one verb per library capability.
 
+Every handler returns a pair (text, data); ``run`` prints the text, or the
+data as JSON under ``--json``, to stdout or to ``--out``.
+
 Exit codes: 0 success, 1 domain/computation error, 2 usage error.
 """
 
@@ -8,10 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .affine import gamma_quot_image, lcs_weight, to_affine
-from .britton import BSParams, abelianize, nf_equal, normalize
+from .britton import BSParams, nf_equal, normalize
 from .classify import classify, free_subgroup_probe, prop5_chain, r_generators
 from .errors import BsError
 from .finquot import (
@@ -22,140 +24,54 @@ from .finquot import (
     certify_not_in_gamma,
     fq_gamma_series,
 )
-from .witness import (
-    gamma_membership_witness,
-    lemma2_witness,
-    omega_stability_check,
-)
-from .words import Word, eval_expr, parse_expr, pretty_print
+from .witness import gamma_membership_witness, lemma2_witness, omega_stability_check
+from .words import Word, parse_word
 
 SWEEP_COLUMNS = [
-    "m",
-    "n",
-    "canonical_m",
-    "canonical_n",
-    "ab",
-    "rf",
-    "rp_primes",
-    "rn",
-    "rtfn",
-    "lcs_length",
-    "gamma_omega",
-    "prop5_case",
+    "m", "n", "canonical_m", "canonical_n", "ab", "rf", "rp_primes", "rn", "rtfn",
+    "lcs_length", "gamma_omega", "prop5_case",
 ]
-
-
-@dataclass
-class CliConfig:
-    m: int | None
-    n: int | None
-    max_bits: int | None
-    seed: int
-    fmt: str  # "text" | "json" | "csv"
-    out: str | None
-
-
-def _config(args) -> CliConfig:
-    fmt = "text"
-    if getattr(args, "json", False):
-        fmt = "json"
-    elif getattr(args, "csv", False):
-        fmt = "csv"
-    return CliConfig(
-        m=getattr(args, "m", None),
-        n=getattr(args, "n", None),
-        max_bits=getattr(args, "max_bits", None),
-        seed=getattr(args, "seed", 0),
-        fmt=fmt,
-        out=getattr(args, "out", None),
-    )
-
-
-def _word(text: str, cfg: CliConfig) -> Word:
-    return eval_expr(parse_expr(text, cfg.max_bits), cfg.max_bits)
-
-
-def _params(cfg: CliConfig) -> BSParams:
-    return BSParams(cfg.m, cfg.n)
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=2)
 
 
 def _bool(v: bool) -> str:
     return "true" if v else "false"
 
 
-def _cmd_normalize(args) -> str:
-    cfg = _config(args)
-    nf = normalize(_params(cfg), _word(args.word, cfg), cfg.max_bits)
-    if cfg.fmt == "json":
-        ab = abelianize(_params(cfg), nf.to_word())
-        return _dump(
-            {
-                "m": cfg.m,
-                "n": cfg.n,
-                "input": args.word,
-                "normal_form": str(nf),
-                "is_identity": nf.is_identity,
-                "sigma_t": ab.t_part,
-            }
-        )
-    return str(nf)
+def _cmd_normalize(args):
+    nf = normalize(BSParams(args.m, args.n), parse_word(args.word, args.max_bits), args.max_bits)
+    text = str(nf)
+    return text, {
+        "m": args.m,
+        "n": args.n,
+        "input": args.word,
+        "normal_form": text,
+        "is_identity": nf.is_identity,
+        "sigma_t": sum(eps for eps, _ in nf.tail),
+    }
 
 
-def _cmd_eq(args) -> str:
-    cfg = _config(args)
-    equal = nf_equal(
-        _params(cfg), _word(args.word1, cfg), _word(args.word2, cfg), cfg.max_bits
-    )
-    if cfg.fmt == "json":
-        return _dump({"m": cfg.m, "n": cfg.n, "equal": equal})
-    return "equal" if equal else "not-equal"
+def _cmd_eq(args):
+    u = parse_word(args.word1, args.max_bits)
+    v = parse_word(args.word2, args.max_bits)
+    equal = nf_equal(BSParams(args.m, args.n), u, v, args.max_bits)
+    return "equal" if equal else "not-equal", {"m": args.m, "n": args.n, "equal": equal}
 
 
-def _cmd_weight(args) -> str:
-    cfg = _config(args)
-    g = to_affine(cfg.n, _word(args.word, cfg), cfg.max_bits)
-    w = lcs_weight(cfg.n, g)
-    if cfg.fmt == "json":
-        return _dump({"n": cfg.n, "weight": "omega" if w.is_omega else w.index})
-    return str(w)
+def _cmd_weight(args):
+    w = lcs_weight(args.n, to_affine(args.n, parse_word(args.word, args.max_bits), args.max_bits))
+    return str(w), {"n": args.n, "weight": "omega" if w.is_omega else w.index}
 
 
-def _cmd_quot_image(args) -> str:
-    cfg = _config(args)
-    g = to_affine(cfg.n, _word(args.word, cfg), cfg.max_bits)
-    r = gamma_quot_image(cfg.n, args.i, g)
-    if cfg.fmt == "json":
-        return _dump({"n": cfg.n, "i": args.i, "modulus": abs(cfg.n - 1), "image": r})
-    return str(r)
+def _cmd_quot_image(args):
+    g = to_affine(args.n, parse_word(args.word, args.max_bits), args.max_bits)
+    r = gamma_quot_image(args.n, args.i, g)
+    return str(r), {"n": args.n, "i": args.i, "modulus": abs(args.n - 1), "image": r}
 
 
-def _classify_text(rep) -> str:
-    rp = rep.residually_p
-    lines = [
-        f"BS({rep.m},{rep.n}) canonical ({rep.canonical[0]},{rep.canonical[1]})",
-        f"abelianization: {rep.abelianization}",
-        f"residually finite: {_bool(rep.residually_finite)}",
-        f"residually p: {rp} ({rp.condition})",
-        f"residually nilpotent: {_bool(rep.residually_nilpotent)}",
-        f"residually torsion-free nilpotent: {_bool(rep.residually_torsionfree_nilpotent)}",
-        f"lcs length: {rep.lcs_length}",
-        f"gamma_omega: {rep.gamma_omega}",
-    ]
-    if rep.class_diffs.strict:
-        lines.append(f"strict class difference: {rep.class_diffs.strict}")
-    return "\n".join(lines)
-
-
-def _sweep_row(m: int, n: int) -> list[str]:
-    rep = classify(m, n)
-    chain = prop5_chain(m, n)
+def _sweep_row(rep) -> list[str]:
     return [
-        str(m),
-        str(n),
+        str(rep.m),
+        str(rep.n),
         str(rep.canonical[0]),
         str(rep.canonical[1]),
         rep.abelianization,
@@ -165,137 +81,132 @@ def _sweep_row(m: int, n: int) -> list[str]:
         _bool(rep.residually_torsionfree_nilpotent),
         rep.lcs_length,
         str(rep.gamma_omega),
-        str(chain.case),
+        str(prop5_chain(rep.m, rep.n).case),
     ]
 
 
-def _cmd_classify(args) -> str:
-    cfg = _config(args)
-    rep = classify(cfg.m, cfg.n)
-    if cfg.fmt == "json":
-        return _dump(rep.to_json_dict())
-    if cfg.fmt == "csv":
-        row = _sweep_row(cfg.m, cfg.n)
-        return ",".join(SWEEP_COLUMNS) + "\n" + ",".join(row)
-    return _classify_text(rep)
+def _cmd_classify(args):
+    rep = classify(args.m, args.n)
+    if args.csv:
+        text = ",".join(SWEEP_COLUMNS) + "\n" + ",".join(_sweep_row(rep))
+    else:
+        rp = rep.residually_p
+        lines = [
+            f"BS({rep.m},{rep.n}) canonical ({rep.canonical[0]},{rep.canonical[1]})",
+            f"abelianization: {rep.abelianization}",
+            f"residually finite: {_bool(rep.residually_finite)}",
+            f"residually p: {rp} ({rp.condition})",
+            f"residually nilpotent: {_bool(rep.residually_nilpotent)}",
+            f"residually torsion-free nilpotent: {_bool(rep.residually_torsionfree_nilpotent)}",
+            f"lcs length: {rep.lcs_length}",
+            f"gamma_omega: {rep.gamma_omega}",
+        ]
+        if rep.class_diffs.strict:
+            lines.append(f"strict class difference: {rep.class_diffs.strict}")
+        text = "\n".join(lines)
+    return text, rep.to_json_dict()
 
 
-def _cmd_chain(args) -> str:
-    cfg = _config(args)
-    rep = prop5_chain(cfg.m, cfg.n)
-    if cfg.fmt == "json":
-        return _dump(rep.to_json_dict())
+def _cmd_chain(args):
+    rep = prop5_chain(args.m, args.n)
     lines = [f"BS({rep.m},{rep.n}) case {rep.case}", "chain: " + " >= ".join(rep.chain)]
     lines += [f"{q} = {v}" for q, v in rep.quotients]
     lines += [f"note: {t}" for t in rep.notes]
-    return "\n".join(lines)
+    return "\n".join(lines), rep.to_json_dict()
 
 
-def _cmd_witness(args) -> str:
-    cfg = _config(args)
-    p = _params(cfg)
-    if args.witness_kind == "lemma2":
-        w = lemma2_witness(p, args.i, cfg.max_bits)
-        if cfg.fmt == "json":
-            return _dump(w.to_json_dict())
-        return (
-            f"{pretty_print(w.expr)} = {w.target} in BS({p.m},{p.n}); "
-            f"value lies in gamma_{w.depth} (verified)"
-        )
-    if args.witness_kind == "member":
-        d = p.d
-        target = _word(args.target, cfg) if args.target else Word.from_pairs((("a", d),))
-        w = gamma_membership_witness(p, target, args.s, cfg.max_bits)
-        if cfg.fmt == "json":
-            return _dump(w.to_json_dict())
-        return (
-            f"{pretty_print(w.expr)} = {w.target} in BS({p.m},{p.n}); "
-            f"value lies in gamma_{w.depth} (verified)"
-        )
-    rep = omega_stability_check(p, cfg.max_bits)
-    if cfg.fmt == "json":
-        return _dump(rep.to_json_dict())
-    return f"BS({rep.m},{rep.n}): {rep.identity}; stable under [., G] on generators (evidence, not proof)"
-
-
-def _cmd_rgen(args) -> str:
-    cfg = _config(args)
-    gens = r_generators(_params(cfg), args.K)
-    if cfg.fmt == "json":
-        return _dump({"m": cfg.m, "n": cfg.n, "K": args.K, "generators": [str(g) for g in gens]})
-    return "\n".join(str(g) for g in gens)
-
-
-def _cmd_fsub_probe(args) -> str:
-    cfg = _config(args)
-    rep = free_subgroup_probe(
-        _params(cfg), K=args.K, trials=args.trials, max_len=args.max_len, seed=cfg.seed
+def _witness(w):
+    data = w.to_json_dict()
+    text = (
+        f"{data['expr']} = {data['target']} in BS({w.m},{w.n}); "
+        f"value lies in gamma_{w.depth} (verified)"
     )
-    if cfg.fmt == "json":
-        return _dump(rep.to_json_dict())
-    return (
+    return text, data
+
+
+def _cmd_lemma2(args):
+    return _witness(lemma2_witness(BSParams(args.m, args.n), args.i, args.max_bits))
+
+
+def _cmd_member(args):
+    p = BSParams(args.m, args.n)
+    if args.target:
+        target = parse_word(args.target, args.max_bits)
+    else:
+        target = Word.from_pairs((("a", p.d),))
+    return _witness(gamma_membership_witness(p, target, args.s, args.max_bits))
+
+
+def _cmd_omega(args):
+    rep = omega_stability_check(BSParams(args.m, args.n), args.max_bits)
+    text = (
+        f"BS({rep.m},{rep.n}): {rep.identity}; "
+        "stable under [., G] on generators (evidence, not proof)"
+    )
+    return text, rep.to_json_dict()
+
+
+def _cmd_rgen(args):
+    gens = [str(g) for g in r_generators(BSParams(args.m, args.n), args.K)]
+    return "\n".join(gens), {"m": args.m, "n": args.n, "K": args.K, "generators": gens}
+
+
+def _cmd_fsub_probe(args):
+    p = BSParams(args.m, args.n)
+    rep = free_subgroup_probe(p, args.K, args.trials, args.max_len, args.seed)
+    text = (
         f"d={rep.d} K={rep.K}: checked {rep.checked} reduced words "
         f"(skipped {rep.skipped_empty} empty), nontrivial {rep.nontrivial}, "
         f"{'OK' if rep.ok else 'FAILURES: ' + '; '.join(rep.failures)}"
     )
+    return text, rep.to_json_dict()
 
 
-def _cmd_oracle(args) -> str:
-    cfg = _config(args)
-    if args.oracle_kind == "build":
-        if args.family == "wreath":
-            q = build_wreath(args.p, args.k, args.j)
-        else:
-            q = build_semidirect(args.p, args.k, args.j, cfg.m, cfg.n)
-        chain = fq_gamma_series(q)
-        relation_ok = bs_relation_holds(q, cfg.m, cfg.n)
-        if cfg.fmt == "json":
-            kp, j = q.size_params()
-            return _dump(
-                {
-                    "quotient": q.describe(),
-                    "p": q.p,
-                    "k": kp,
-                    "j": j,
-                    "order": q.order,
-                    "gamma_sizes": chain.sizes,
-                    "relation_holds": relation_ok,
-                }
-            )
-        return (
-            f"{q.describe()} (order {q.order})\n"
-            f"gamma sizes: {chain.sizes}\n"
-            f"relation t^-1 a^m t = a^n: {'holds' if relation_ok else 'FAILS'}"
-        )
-    # certify
+def _cmd_oracle_build(args):
+    if args.family == "wreath":
+        q = build_wreath(args.p, args.k, args.j)
+    else:
+        q = build_semidirect(args.p, args.k, args.j, args.m, args.n)
+    sizes = fq_gamma_series(q).sizes
+    relation_ok = bs_relation_holds(q, args.m, args.n)
+    text = (
+        f"{q.describe()} (order {q.order})\n"
+        f"gamma sizes: {sizes}\n"
+        f"relation t^-1 a^m t = a^n: {'holds' if relation_ok else 'FAILS'}"
+    )
+    kp, j = q.size_params()
+    return text, {
+        "quotient": q.describe(),
+        "p": q.p,
+        "k": kp,
+        "j": j,
+        "order": q.order,
+        "gamma_sizes": sizes,
+        "relation_holds": relation_ok,
+    }
+
+
+def _cmd_oracle_certify(args):
+    word = parse_word(args.word, args.max_bits)
     budget = SearchBudget(k_max=args.k, j_max=args.j)
-    cert = certify_not_in_gamma(cfg.m, cfg.n, _word(args.word, cfg), args.i, budget)
+    cert = certify_not_in_gamma(args.m, args.n, word, args.i, budget)
     if cert is None:
-        if cfg.fmt == "json":
-            return _dump({"certificate": None, "conclusive": False})
-        return "inconclusive: no quotient in the budgeted family separates the element"
+        text = "inconclusive: no quotient in the budgeted family separates the element"
+        return text, {"certificate": None, "conclusive": False}
     ok = cert.verify()
-    if cfg.fmt == "json":
-        d = cert.to_json_dict()
-        d["verified"] = ok
-        return _dump({"certificate": d, "conclusive": True})
-    return f"{cert.statement}\ngamma sizes: {list(cert.gamma_sizes)}\nre-verified: {_bool(ok)}"
+    text = f"{cert.statement}\ngamma sizes: {list(cert.gamma_sizes)}\nre-verified: {_bool(ok)}"
+    return text, {"certificate": {**cert.to_json_dict(), "verified": ok}, "conclusive": True}
 
 
-def _cmd_sweep(args) -> str:
-    cfg = _config(args)
-    cells = [
-        (m, n)
+def _cmd_sweep(args):
+    rows = [
+        _sweep_row(classify(m, n))
         for m in range(1, args.m_max + 1)
         for n in range(-args.n_max, args.n_max + 1)
         if n != 0
     ]
-    if cfg.fmt == "json":
-        rows = [dict(zip(SWEEP_COLUMNS, _sweep_row(m, n))) for m, n in cells]
-        return _dump(rows)
-    lines = [",".join(SWEEP_COLUMNS)]
-    lines += [",".join(_sweep_row(m, n)) for m, n in cells]
-    return "\n".join(lines)
+    text = "\n".join(",".join(row) for row in [SWEEP_COLUMNS, *rows])
+    return text, [dict(zip(SWEEP_COLUMNS, row)) for row in rows]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,98 +215,78 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, m=False, n=False):
+    def command(parent, name, fn, summary, m=True, n=True, max_bits=True):
+        p = parent.add_parser(name, help=summary)
         if m:
             p.add_argument("-m", type=int, required=True, help="first exponent")
         if n:
             p.add_argument("-n", type=int, required=True, help="second exponent")
-        p.add_argument("--max-bits", type=int, default=None, help="bit cap for exponents")
+        if max_bits:
+            p.add_argument("--max-bits", type=int, default=None, help="bit cap for exponents")
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument("--out", default=None, help="write output to FILE")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("normalize", help="Britton normal form of a word")
-    common(p, m=True, n=True)
+    p = command(sub, "normalize", _cmd_normalize, "Britton normal form of a word")
     p.add_argument("word")
-    p.set_defaults(fn=_cmd_normalize)
 
-    p = sub.add_parser("eq", help="decide equality of two words")
-    common(p, m=True, n=True)
+    p = command(sub, "eq", _cmd_eq, "decide equality of two words")
     p.add_argument("word1")
     p.add_argument("word2")
-    p.set_defaults(fn=_cmd_eq)
 
-    p = sub.add_parser("weight", help="lower-central-series weight in BS(1,n)")
-    common(p, n=True)
+    p = command(sub, "weight", _cmd_weight, "lower-central-series weight in BS(1,n)", m=False)
     p.add_argument("word")
-    p.set_defaults(fn=_cmd_weight)
 
-    p = sub.add_parser("quot-image", help="image in gamma_i/gamma_{i+1} of BS(1,n)")
-    common(p, n=True)
+    p = command(
+        sub, "quot-image", _cmd_quot_image, "image in gamma_i/gamma_{i+1} of BS(1,n)", m=False
+    )
     p.add_argument("-i", type=int, required=True, help="series index, i >= 2")
     p.add_argument("word")
-    p.set_defaults(fn=_cmd_quot_image)
 
-    p = sub.add_parser("classify", help="residual-property report for BS(m,n)")
-    common(p, m=True, n=True)
+    p = command(sub, "classify", _cmd_classify, "residual-property report for BS(m,n)")
     p.add_argument("--csv", action="store_true", help="CSV row output")
-    p.set_defaults(fn=_cmd_classify)
 
-    p = sub.add_parser("chain", help="subgroup chain case report")
-    common(p, m=True, n=True)
-    p.set_defaults(fn=_cmd_chain)
+    command(sub, "chain", _cmd_chain, "subgroup chain case report")
 
     p = sub.add_parser("witness", help="commutator membership witnesses")
     wsub = p.add_subparsers(dest="witness_kind", required=True)
-    w = wsub.add_parser("lemma2", help="witness a^((n-m)^i) in gamma_{i+1}")
-    common(w, m=True, n=True)
+    w = command(wsub, "lemma2", _cmd_lemma2, "witness a^((n-m)^i) in gamma_{i+1}")
     w.add_argument("-i", type=int, required=True)
-    w.set_defaults(fn=_cmd_witness)
-    w = wsub.add_parser("member", help="witness a^d in gamma_s when n = m + gcd")
-    common(w, m=True, n=True)
+    w = command(wsub, "member", _cmd_member, "witness a^d in gamma_s when n = m + gcd")
     w.add_argument("-s", type=int, required=True)
     w.add_argument("target", nargs="?", default=None)
-    w.set_defaults(fn=_cmd_witness)
-    w = wsub.add_parser("omega", help="gamma_omega stability evidence on generators")
-    common(w, m=True, n=True)
-    w.set_defaults(fn=_cmd_witness)
+    command(wsub, "omega", _cmd_omega, "gamma_omega stability evidence on generators")
 
-    p = sub.add_parser("rgen", help="commutator generators of the relator subgroup")
-    common(p, m=True, n=True)
+    p = command(sub, "rgen", _cmd_rgen, "commutator generators of the relator subgroup")
     p.add_argument("-K", type=int, required=True, help="conjugator range |k| <= K")
-    p.set_defaults(fn=_cmd_rgen)
 
-    p = sub.add_parser("fsub-probe", help="free-subgroup nontriviality probe")
-    common(p, m=True, n=True)
+    p = command(sub, "fsub-probe", _cmd_fsub_probe, "free-subgroup nontriviality probe")
     p.add_argument("-K", type=int, default=3)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--max-len", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_fsub_probe)
 
     p = sub.add_parser("oracle", help="finite nilpotent quotients and certificates")
     osub = p.add_subparsers(dest="oracle_kind", required=True)
-    o = osub.add_parser("build", help="build one quotient and its gamma chain")
-    common(o, m=True, n=True)
+    o = command(osub, "build", _cmd_oracle_build, "build one quotient and its gamma chain")
     o.add_argument("--family", choices=["semidirect", "wreath"], default="semidirect")
     o.add_argument("-p", type=int, required=True, help="prime")
     o.add_argument("-k", type=int, required=True, help="base size exponent (e for wreath)")
     o.add_argument("-j", type=int, required=True, help="top size exponent")
-    o.set_defaults(fn=_cmd_oracle)
-    o = osub.add_parser("certify", help="search for a non-membership certificate")
-    common(o, m=True, n=True)
+    o = command(osub, "certify", _cmd_oracle_certify, "search for a non-membership certificate")
     o.add_argument("-i", type=int, required=True, help="gamma index, i >= 2")
     o.add_argument("-k", type=int, default=6, help="budget: max base exponent")
     o.add_argument("-j", type=int, default=4, help="budget: max top exponent")
     o.add_argument("word")
-    o.set_defaults(fn=_cmd_oracle)
 
-    p = sub.add_parser("sweep", help="classification sweep over a parameter grid")
+    p = command(
+        sub, "sweep", _cmd_sweep, "classification sweep over a parameter grid",
+        m=False, n=False, max_bits=False,
+    )
     p.add_argument("--m-max", type=int, default=12)
     p.add_argument("--n-max", type=int, default=12)
-    p.add_argument("--json", action="store_true")
     p.add_argument("--csv", action="store_true", help="CSV output (the default)")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_sweep)
 
     return ap
 
@@ -406,16 +297,16 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        output = args.fn(args)
-    except BsError as exc:
+        text, data = args.fn(args)
+        output = json.dumps(data, indent=2) if args.json else text
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output + "\n")
+        else:
+            print(output)
+    except (BsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(output + "\n")
-    else:
-        print(output)
     return 0
 
 

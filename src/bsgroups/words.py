@@ -12,6 +12,8 @@ Conventions used by the whole package:
         atom := "a" | "t" | "A" | "T" | "(" expr ")" | "[" expr "," expr "]"
         int  := "-"? digit+
 
+    brackets nest at most MAX_NESTING = 200 levels deep.
+
 All exponents are exact Python ints.  Rewriting elsewhere in the package can
 make exponents explode (conjugation by t^k scales a-exponents by n^k), so a
 bit cap is enforced wherever integers can grow; the default is 1,000,000 bits
@@ -24,7 +26,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import ExponentCapExceeded, ParseError, WordSizeExceeded
+from .errors import DomainError, ExponentCapExceeded, ParseError, WordSizeExceeded
 
 DEFAULT_MAX_BITS = 1_000_000
 ENV_MAX_BITS = "BS_MAX_BITS"
@@ -33,14 +35,22 @@ ENV_MAX_BITS = "BS_MAX_BITS"
 # reach before we refuse to expand further.
 _MAX_POWER_LETTERS = 2_000_000
 
+# Deepest bracket nesting the parser accepts.  Parsing, eval_expr and
+# pretty_print recurse once or a few times per level, so this keeps them
+# well inside Python's default recursion limit.
+MAX_NESTING = 200
+
 
 def resolve_max_bits(value: int | None = None) -> int:
     """Pick the effective bit cap: explicit argument, else env, else default."""
     if value is None:
         raw = os.environ.get(ENV_MAX_BITS)
-        value = int(raw) if raw else DEFAULT_MAX_BITS
+        try:
+            value = int(raw) if raw else DEFAULT_MAX_BITS
+        except ValueError:
+            raise DomainError(f"{ENV_MAX_BITS}={raw!r} is not an integer") from None
     if value <= 0:
-        raise ValueError("bit cap must be positive")
+        raise DomainError(f"bit cap must be positive, got {value}")
     return value
 
 
@@ -104,15 +114,6 @@ class Word:
         if not self.syllables:
             return "1"
         return " ".join(g if e == 1 else f"{g}^{e}" for g, e in self.syllables)
-
-
-def free_reduce(w) -> Word:
-    """Freely reduce a Word or a raw iterable of (gen, exp) pairs.
-
-    Idempotent: free_reduce(free_reduce(w)) == free_reduce(w).
-    """
-    pairs = w.syllables if isinstance(w, Word) else w
-    return Word.from_pairs(pairs)
 
 
 def word_pow(w: Word, k: int, max_bits: int | None = None) -> Word:
@@ -196,6 +197,7 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.cap = cap
+        self.depth = 0
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.pos)
@@ -245,18 +247,18 @@ class _Parser:
         if c == "T":
             self.pos += 1
             return Power(Gen("t"), -1)
-        if c == "(":
+        if c in ("(", "["):
+            if self.depth == MAX_NESTING:
+                raise self.error(f"brackets nested deeper than {MAX_NESTING}")
             self.pos += 1
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        if c == "[":
-            self.pos += 1
-            left = self.parse_expr()
-            self.expect(",")
-            right = self.parse_expr()
-            self.expect("]")
-            return Commutator(left, right)
+            self.depth += 1
+            node = self.parse_expr()
+            if c == "[":
+                self.expect(",")
+                node = Commutator(node, self.parse_expr())
+            self.expect(")" if c == "(" else "]")
+            self.depth -= 1
+            return node
         raise self.error(f"unexpected character {c!r}" if c else "unexpected end of input")
 
     def parse_int(self) -> int:

@@ -1,12 +1,43 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from bsgroups.cli import SWEEP_COLUMNS, run
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _golden(path: Path):
+    entries = json.loads(path.read_text(encoding="utf-8"))
+    return [
+        pytest.param(e["argv"], e["stdout"], id=f"{path.stem}-{k}")
+        for k, e in enumerate(entries)
+    ]
 
 
 def _run(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out.rstrip("\n"), captured.err
+
+
+def _assert_one_line_error(code, err):
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# bench/cli_golden.json is the fixed `bs` script of the benchmark, mostly text;
+# cli_json_golden.json holds the --json output of every subcommand.
+@pytest.mark.parametrize(
+    "argv, stdout",
+    _golden(ROOT / "bench" / "cli_golden.json") + _golden(ROOT / "tests" / "cli_json_golden.json"),
+)
+def test_golden_stdout(capsys, argv, stdout):
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == stdout
 
 
 def test_normalize(capsys):
@@ -163,12 +194,26 @@ def test_out_file(tmp_path, capsys):
     assert text.startswith(",".join(SWEEP_COLUMNS)) and text.endswith("\n")
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(tmp_path, capsys):
     code, _, err = _run(capsys, ["normalize", "-m", "0", "-n", "3", "a"])
     assert code == 1 and "error:" in err
 
     code, _, err = _run(capsys, ["normalize", "-m", "2", "-n", "3", "b"])
     assert code == 1 and "error:" in err
+
+    code, _, err = _run(capsys, ["normalize", "-m", "2", "-n", "3", "--max-bits", "0", "a"])
+    _assert_one_line_error(code, err)
+    assert "bit cap" in err
+
+    missing = tmp_path / "missing" / "dir" / "x"
+    code, out, err = _run(capsys, ["normalize", "-m", "2", "-n", "3", "--out", str(missing), "a"])
+    _assert_one_line_error(code, err)
+    assert out == "" and not missing.exists()
+
+    deep = "(" * 3000 + "a" + ")" * 3000
+    code, _, err = _run(capsys, ["normalize", "-m", "2", "-n", "3", deep])
+    _assert_one_line_error(code, err)
+    assert "nested deeper" in err
 
     code, _, _ = _run(capsys, ["bogus"])
     assert code == 2
@@ -186,3 +231,8 @@ def test_env_bit_cap(monkeypatch, capsys):
         capsys, ["normalize", "-m", "1", "-n", "2", "--max-bits", "100", "t^-40 a t^40"]
     )
     assert code == 0 and out == f"a^{1 << 40}"
+
+    monkeypatch.setenv("BS_MAX_BITS", "abc")
+    code, _, err = _run(capsys, ["normalize", "-m", "2", "-n", "3", "a"])
+    _assert_one_line_error(code, err)
+    assert "BS_MAX_BITS" in err

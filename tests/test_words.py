@@ -14,8 +14,8 @@ from bsgroups.words import (
     Product,
     Word,
     eval_expr,
+    MAX_NESTING,
     exp_sums,
-    free_reduce,
     parse_expr,
     parse_word,
     pretty_print,
@@ -28,25 +28,25 @@ word_pairs = st.lists(
 
 
 def test_free_reduce_examples():
-    assert free_reduce(Word.from_pairs([("a", 1), ("t", 1), ("t", -1), ("a", -1)])).is_identity
-    assert free_reduce(Word.from_pairs([("a", 2), ("a", -1)])) == Word.from_pairs([("a", 1)])
+    assert Word.from_pairs([("a", 1), ("t", 1), ("t", -1), ("a", -1)]).is_identity
+    assert Word.from_pairs([("a", 2), ("a", -1)]) == Word((("a", 1),))
     w = Word.from_pairs([("a", 1), ("t", 1), ("a", 1)])
-    assert free_reduce(w) == w
+    assert Word.from_pairs(w.syllables) == w
 
 
 @settings(max_examples=50)
 @given(word_pairs)
 def test_free_reduce_idempotent(pairs):
-    w = free_reduce(Word.from_pairs(pairs))
-    assert free_reduce(w) == w
+    w = Word.from_pairs(pairs)
+    assert Word.from_pairs(w.syllables) == w
 
 
 @settings(max_examples=50)
 @given(word_pairs)
 def test_word_times_inverse_reduces_to_identity(pairs):
     w = Word.from_pairs(pairs)
-    assert free_reduce(w * w.inverse()).is_identity
-    assert free_reduce(w.inverse() * w).is_identity
+    assert (w * w.inverse()).is_identity
+    assert (w.inverse() * w).is_identity
 
 
 def test_exp_sums_examples():
@@ -60,7 +60,7 @@ def test_exp_sums_examples():
 @given(word_pairs, word_pairs)
 def test_exp_sums_additive(p1, p2):
     u, v = Word.from_pairs(p1), Word.from_pairs(p2)
-    su, sv, sw = exp_sums(u), exp_sums(v), exp_sums(free_reduce(u * v))
+    su, sv, sw = exp_sums(u), exp_sums(v), exp_sums(u * v)
     assert sw == ExpSums(su.sigma_a + sv.sigma_a, su.sigma_t + sv.sigma_t)
 
 
@@ -81,12 +81,25 @@ def test_parse_errors_carry_position():
         assert exc.value.position >= 0
 
 
+def test_nesting_limit():
+    # The deepest accepted nesting parses, evaluates and prints without
+    # reaching the recursion limit; one more bracket is a ParseError there.
+    deep = "(" * MAX_NESTING + "a" + ")^2" * MAX_NESTING
+    expr = parse_expr(deep)
+    assert eval_expr(expr) == Word((("a", 2**MAX_NESTING),))
+    assert parse_expr(pretty_print(expr)) == expr
+    for bracket in "([":
+        with pytest.raises(ParseError) as exc:
+            parse_expr(bracket + deep)
+        assert exc.value.position == MAX_NESTING
+
+
 def test_eval_examples():
     assert eval_expr(parse_expr("[a, t]")) == parse_word("a^-1 t^-1 a t")
     assert eval_expr(Power(Gen("a"), 0)).is_identity
     lhs = eval_expr(parse_expr("[t, a]"))
     rhs = eval_expr(parse_expr("[a, t]")).inverse()
-    assert free_reduce(lhs) == free_reduce(rhs)
+    assert lhs == rhs
 
 
 def test_conjugate_expands():
@@ -157,7 +170,7 @@ def test_word_str_forms():
 
 def test_word_pow():
     w = parse_word("a t")
-    assert w ** 3 == free_reduce(w * w * w)
+    assert w ** 3 == w * w * w
     assert (w ** -1) == w.inverse()
     assert (w ** 0).is_identity
 

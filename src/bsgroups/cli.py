@@ -296,6 +296,11 @@ def run(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # Exponents up to the bit cap must print in full, but CPython (3.10.7 on)
+    # refuses int <-> str conversions past 4300 digits by default.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         text, data = args.fn(args)
         output = json.dumps(data, indent=2) if args.json else text
@@ -307,6 +312,9 @@ def run(argv: list[str] | None = None) -> int:
     except (BsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -9,17 +9,22 @@ Two families of finite p-group quotients are built explicitly:
     t the cyclic shift.  This receives BS(m, n) whenever p^e divides both
     exponents, by factoring through the quotient that kills a^gcd.
 
-Lower central series of these quotients are computed by brute force over
-explicit element sets.  Since any homomorphism maps gamma_i into gamma_i,
-an image lying outside gamma_i(Q) certifies that the element lies outside
-gamma_i(G).  certify_not_in_gamma searches a budgeted family of quotients,
-smallest first, for such a certificate.  A None result is inconclusive: it
+Their lower central series have closed forms.  From gamma_2 on, every
+term lies in the abelian base: p^min(k, (i-1)v) Z_{p^k} for the semidirect
+product, v = v_p(u - 1), and the ideal (x - 1)^(i-1) of
+Z_{p^e}[x]/(x^{p^j} - 1) for the wreath product.  Membership in a term is
+decided by a Howell-form echelon over Z/p^e, so no element set is listed
+and the cost is polynomial in p^j, not in the group order.
+
+Since any homomorphism maps gamma_i into gamma_i, an image lying outside
+gamma_i(Q) certifies that the element lies outside gamma_i(G).
+certify_not_in_gamma searches a budgeted family of quotients, smallest
+first, for such a certificate.  A None result is inconclusive: it
 never proves membership.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -68,9 +73,6 @@ class Semidirect:
     def inv(self, g):
         pk = self.p**self.k
         return ((-g[0] * pow(self.u, g[1], pk)) % pk, -g[1] % self.p**self.j)
-
-    def elements(self):
-        return itertools.product(range(self.p**self.k), range(self.p**self.j))
 
     def describe(self) -> str:
         return f"Z_{self.p**self.k} x|_{self.u} Z_{self.p**self.j}"
@@ -123,12 +125,6 @@ class Wreath:
         pe = self.p**self.e
         f, s = g
         return (tuple(-f[(i + s) % L] % pe for i in range(L)), -s % L)
-
-    def elements(self):
-        L = self.p**self.j
-        for f in itertools.product(range(self.p**self.e), repeat=L):
-            for s in range(L):
-                yield (f, s)
 
     def describe(self) -> str:
         return f"Z_{self.p**self.e} wr Z_{self.p**self.j}"
@@ -205,83 +201,133 @@ def build_wreath(p: int, e: int, j: int) -> Wreath:
     return q
 
 
+# A Howell row (c, p^a, row): the row is zero before column c and has the
+# pivot p^a at column c.
+HowellRow = tuple[int, int, tuple[int, ...]]
+
+
+def _howell(gens, p: int, e: int) -> tuple[HowellRow, ...]:
+    """Howell form of the Z/p^e-span of gens (Howell, 1986).
+
+    Pivot columns strictly increase, and every element of the span that is
+    zero before column c is a combination of the rows with pivot column >= c.
+    That property lets _in_span decide membership by forward elimination,
+    and makes the span's size the product of p^e / p^a over the rows.
+    """
+    mod = p**e
+    todo = [[x % mod for x in g] for g in gens]
+    rows: list[HowellRow] = []
+    for c in range(len(todo[0]) if todo else 0):
+        live = [r for r in todo if r[c]]
+        if not live:
+            continue
+        piv = min(live, key=lambda r: valuation(r[c], p))
+        todo = [r for r in todo if r is not piv]
+        pa = p ** valuation(piv[c], p)
+        unit = pow(piv[c] // pa, -1, mod)
+        piv = [x * unit % mod for x in piv]
+        for r in todo:
+            f = r[c] // pa
+            if f:
+                r[c:] = [(x - f * y) % mod for x, y in zip(r[c:], piv[c:])]
+        # Howell's extra row: the multiple of the pivot row that kills column c.
+        todo.append([x * (mod // pa) % mod for x in piv])
+        todo = [r for r in todo if any(r)]
+        rows.append((c, pa, tuple(piv)))
+    return tuple(rows)
+
+
+def _in_span(rows: tuple[HowellRow, ...], vec, mod: int) -> bool:
+    vec = [x % mod for x in vec]
+    for c, pa, row in rows:
+        if vec[c] % pa:
+            return False
+        f = vec[c] // pa
+        if f:
+            vec[c:] = [(x - f * y) % mod for x, y in zip(vec[c:], row[c:])]
+    return not any(vec)
+
+
 @dataclass(frozen=True)
 class GammaChain:
-    """gamma_1 > gamma_2 > ... as explicit element sets, ending at {id}."""
+    """gamma_1 > gamma_2 > ... > {id} of a finite quotient, in closed form.
 
-    subgroups: tuple[frozenset, ...]
+    For i >= 2, gamma_i lies in the abelian base (the Z_{p^k} of a
+    semidirect product, the (Z_{p^e})^{p^j} of a wreath product): it is the
+    set of (f, 0) with f in the Z/modulus-span of terms[i - 2], a Howell
+    form.  The last term spans {0}.
+    """
+
+    order: int
+    modulus: int
+    terms: tuple[tuple[HowellRow, ...], ...]
 
     @property
     def sizes(self) -> list[int]:
-        return [len(s) for s in self.subgroups]
+        sizes = [self.order]
+        for rows in self.terms:
+            sizes.append(math.prod(self.modulus // pa for _, pa, _ in rows))
+        return sizes
 
-    def term(self, i: int, identity) -> frozenset:
-        """gamma_i, extending the chain by its stable tail {id}."""
+    def contains(self, i: int, g) -> bool:
+        """Is g in gamma_i?  Beyond the chain's end gamma_i is {id}."""
         if i < 1:
             raise DomainError("gamma index must be >= 1")
-        if i <= len(self.subgroups):
-            return self.subgroups[i - 1]
-        return frozenset([identity])
+        if i == 1:
+            return True
+        f, s = g
+        if s != 0:
+            return False
+        rows = self.terms[i - 2] if i - 2 < len(self.terms) else ()
+        # a semidirect base element is one int, a wreath one a tuple
+        return _in_span(rows, f if isinstance(f, tuple) else (f,), self.modulus)
 
 
-def _closure(q: FinQuot, gens) -> frozenset:
-    """Subgroup generated by gens, skipping generators already reached."""
-    elems = {q.identity}
-    order = [q.identity]
-    active: list = []
-    for s in gens:
-        if s in elems:
-            continue
-        active.append(s)
-        frontier = list(order)
-        while frontier:
-            h = frontier.pop()
-            for g in active:
-                x = q.mul(h, g)
-                if x not in elems:
-                    elems.add(x)
-                    order.append(x)
-                    frontier.append(x)
-    return frozenset(elems)
+def _semidirect_terms(q: Semidirect) -> tuple:
+    """gamma_i = p^min(k, (i-1)v) Z_{p^k} x 0 for i >= 2, v = v_p(u - 1).
+
+    gamma_2 is generated by [a, t] = x^(u-1) up to a unit, and each further
+    commutator with t multiplies by u - 1 up to a unit, of valuation v again.
+    """
+    v = valuation(q.u - 1, q.p) if q.u != 1 else q.k  # u = 1: abelian
+    return tuple(((0, q.p**c, (q.p**c,)),) for c in range(v, q.k, v)) + ((),)
 
 
-def _conjugation_closure(q: FinQuot, seed: set) -> set:
-    conjugators = [q.a_img, q.t_img, q.inv(q.a_img), q.inv(q.t_img)]
-    out = set(seed)
-    frontier = list(seed)
-    while frontier:
-        g = frontier.pop()
-        for c in conjugators:
-            x = q.mul(q.mul(q.inv(c), g), c)
-            if x not in out:
-                out.add(x)
-                frontier.append(x)
-    return out
+def _wreath_terms(q: Wreath) -> tuple:
+    """gamma_i = (x - 1)^(i-1) B for i >= 2, B = Z_{p^e}[x]/(x^L - 1), L = p^j.
+
+    This is the rule for A wr C with C cyclic (Liebeck, 1962): gamma_2 is
+    the augmentation ideal (x - 1)B, and [gamma_i, G] = (x - 1) gamma_i.
+    As a Z/p^e-module the ideal is spanned by the L cyclic shifts of
+    (x - 1)^(i-1).  (x - 1)^L = x^L - 1 mod p, so (x - 1)^(eL) = 0 in B.
+    """
+    L = q.p**q.j
+    pe = q.p**q.e
+    g = [1] + [0] * (L - 1)
+    terms = []
+    for _ in range(q.e * L):
+        g = [(g[s - 1] - g[s]) % pe for s in range(L)]  # times (x - 1)
+        terms.append(_howell([g[L - s:] + g[:L - s] for s in range(L)], q.p, q.e))
+        if not terms[-1]:
+            break
+    return tuple(terms)
+
+
+def _gamma_chain(q: FinQuot) -> GammaChain:
+    if isinstance(q, Semidirect):
+        chain = GammaChain(q.order, q.p**q.k, _semidirect_terms(q))
+    else:
+        chain = GammaChain(q.order, q.p**q.e, _wreath_terms(q))
+    sizes = chain.sizes
+    if sizes[-1] != 1 or any(b >= a for a, b in zip(sizes, sizes[1:])):
+        raise VerificationError("lower central series failed to descend to 1")
+    return chain
 
 
 @lru_cache(maxsize=256)
-def fq_gamma_series(q: FinQuot, max_order: int = 1_000_000) -> GammaChain:
-    """Brute-force lower central series, gamma_{i+1} = [gamma_i, G]."""
-    if q.order > max_order:
-        raise DomainError(
-            f"group order {q.order} exceeds the series cap {max_order}"
-        )
-    gens = [q.a_img, q.t_img]
-    current = frozenset(q.elements())
-    chain = [current]
-    trivial = frozenset([q.identity])
-    while current != trivial:
-        seed = set()
-        for g in current:
-            gi = q.inv(g)
-            for x in gens:
-                seed.add(q.mul(q.mul(q.mul(gi, q.inv(x)), g), x))
-        nxt = _closure(q, _conjugation_closure(q, seed))
-        if not nxt < current:
-            raise VerificationError("lower central series failed to descend")
-        chain.append(nxt)
-        current = nxt
-    return GammaChain(tuple(chain))
+def fq_gamma_series(q: FinQuot) -> GammaChain:
+    """Lower central series of q, gamma_{i+1} = [gamma_i, G], in closed form."""
+    return _gamma_chain(q)
 
 
 @dataclass(frozen=True, slots=True)
@@ -326,10 +372,10 @@ class Certificate:
             return False
         if fq_eval(q, self.word) != self.image:
             return False
-        chain = fq_gamma_series(q)
+        chain = _gamma_chain(q)  # not the cached chain that found it
         if tuple(chain.sizes) != self.gamma_sizes:
             return False
-        return self.image not in chain.term(self.i, q.identity)
+        return not chain.contains(self.i, self.image)
 
     def to_json_dict(self) -> dict:
         kp, j = self.quotient.size_params()
@@ -409,7 +455,7 @@ def certify_not_in_gamma(
         image = fq_eval(q, w)
         if image == q.identity:
             continue
-        chain = fq_gamma_series(q, budget.order_cap)
-        if image not in chain.term(i, q.identity):
+        chain = fq_gamma_series(q)
+        if not chain.contains(i, image):
             return Certificate(m, n, w, q, image, i, tuple(chain.sizes))
     return None

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from bsgroups.britton import BSParams
+from bsgroups.finquot import FinQuot, Semidirect
 from bsgroups.words import Word
 
 
@@ -45,3 +47,68 @@ def rand_gamma2_word(rng: random.Random, p: BSParams, central: int = 0) -> Word:
         v = rand_word(rng, max_syllables=3, max_exp=2)
         w = w * commutator(u, v)
     return w
+
+
+# Brute-force lower central series of a finite quotient: the oracle that the
+# closed forms in bsgroups.finquot are tested against.
+
+
+def elements(q: FinQuot):
+    if isinstance(q, Semidirect):
+        return itertools.product(range(q.p**q.k), range(q.p**q.j))
+    L = q.p**q.j
+    return ((f, s) for f in itertools.product(range(q.p**q.e), repeat=L) for s in range(L))
+
+
+def _closure(q: FinQuot, gens) -> frozenset:
+    """Subgroup generated by gens, skipping generators already reached."""
+    elems = {q.identity}
+    order = [q.identity]
+    active: list = []
+    for s in gens:
+        if s in elems:
+            continue
+        active.append(s)
+        frontier = list(order)
+        while frontier:
+            h = frontier.pop()
+            for g in active:
+                x = q.mul(h, g)
+                if x not in elems:
+                    elems.add(x)
+                    order.append(x)
+                    frontier.append(x)
+    return frozenset(elems)
+
+
+def _conjugation_closure(q: FinQuot, seed: set) -> set:
+    conjugators = [q.a_img, q.t_img, q.inv(q.a_img), q.inv(q.t_img)]
+    out = set(seed)
+    frontier = list(seed)
+    while frontier:
+        g = frontier.pop()
+        for c in conjugators:
+            x = q.mul(q.mul(q.inv(c), g), c)
+            if x not in out:
+                out.add(x)
+                frontier.append(x)
+    return out
+
+
+def brute_gamma_series(q: FinQuot) -> list[frozenset]:
+    """gamma_1 > gamma_2 > ... > {id} as element sets, gamma_{i+1} = [gamma_i, G]."""
+    gens = [q.a_img, q.t_img]
+    current = frozenset(elements(q))
+    chain = [current]
+    trivial = frozenset([q.identity])
+    while current != trivial:
+        seed = set()
+        for g in current:
+            gi = q.inv(g)
+            for x in gens:
+                seed.add(q.mul(q.mul(q.mul(gi, q.inv(x)), g), x))
+        nxt = _closure(q, _conjugation_closure(q, seed))
+        assert nxt < current, "lower central series failed to descend"
+        chain.append(nxt)
+        current = nxt
+    return chain

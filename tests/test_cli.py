@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -156,6 +157,18 @@ def test_oracle_build(capsys):
     assert data["order"] == 8 and data["relation_holds"] is True
 
 
+def test_oracle_build_up_to_the_construction_cap(capsys):
+    # order 2^20: over the old brute-force series cap, within construction
+    code, out, _ = _run(
+        capsys,
+        ["oracle", "build", "-m", "2", "-n", "4", "--family", "wreath",
+         "-p", "2", "-k", "1", "-j", "4", "--json"],
+    )
+    data = json.loads(out)
+    assert code == 0 and data["order"] == 2**20
+    assert data["gamma_sizes"] == [2**20] + [2**k for k in range(15, -1, -1)]
+
+
 def test_oracle_certify(capsys):
     code, out, _ = _run(capsys, ["oracle", "certify", "-m", "1", "-n", "3", "-i", "3", "a^2"])
     assert code == 0
@@ -192,6 +205,24 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     text = path.read_text()
     assert text.startswith(",".join(SWEEP_COLUMNS)) and text.endswith("\n")
+
+
+def test_huge_exponent_prints_in_full(capsys):
+    # a^(2^15000) has 4516 digits, past Python's default int-to-str limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        expected = f"a^{2**15000}"
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    argv = ["normalize", "-m", "1", "-n", "2", "t^-15000 a t^15000"]
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and err == "" and out == expected
+    code, out, err = _run(capsys, argv[:-1] + ["--json", argv[-1]])
+    assert code == 0 and err == "" and json.loads(out)["normal_form"] == expected
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_exit_codes(tmp_path, capsys):

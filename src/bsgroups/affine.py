@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .intmath import prime_factors, valuation
-from .words import Word, resolve_max_bits, _check_cap
+from .words import Group, Word, resolve_max_bits, _check_cap
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,10 +80,6 @@ def zn_scale_pow(n: int, x: ZnElement, k: int, cap: int | None = None) -> ZnElem
     return out
 
 
-def zn_mul_int(n: int, x: ZnElement, c: int) -> ZnElement:
-    return zn_canon(n, x.num * c, x.l)
-
-
 def zn_divexact_int(n: int, x: ZnElement, c: int) -> ZnElement:
     if x.num % c != 0:
         raise DomainError(f"{x} is not divisible by {c} in Z[1/n]")
@@ -131,6 +127,13 @@ def to_affine(n: int, w: Word, max_bits: int | None = None) -> AffineElem:
         else:
             b = zn_add(n, b, zn_scale_pow(n, ZnElement(e, 0), k, cap), cap)
     return AffineElem(k, b)
+
+
+def affine_group(n: int, max_bits: int | None = None) -> Group:
+    """BS(1, n) as affine maps of the line over Z[1/n]."""
+    cap = resolve_max_bits(max_bits)
+    return Group(IDENTITY, lambda w: to_affine(n, w, cap),
+                 lambda g, h: affine_compose(n, g, h, cap), lambda g: affine_invert(n, g, cap))
 
 
 def canonical_word(n: int, g: AffineElem, max_bits: int | None = None) -> Word:

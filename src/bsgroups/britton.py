@@ -26,7 +26,7 @@ from math import gcd
 
 from .errors import DomainError
 from .intmath import euclid_divmod
-from .words import ExpSums, Word, exp_sums, resolve_max_bits, _check_cap
+from .words import ExpSums, Group, Word, exp_sums, resolve_max_bits, _check_cap, _check_size
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,36 +137,28 @@ def normalize(p: BSParams, w: Word, max_bits: int | None = None) -> BrittonNF:
     return BrittonNF(r0, tuple((eps, r) for eps, r in st))
 
 
-def _nf_letters(nf: BrittonNF):
-    yield "a", nf.r0
-    for eps, r in nf.tail:
-        yield "t", eps
-        yield "a", r
-
-
-def _nf_letters_inverse(nf: BrittonNF):
-    for eps, r in reversed(nf.tail):
-        yield "a", -r
-        yield "t", -eps
-    yield "a", -nf.r0
-
-
 def nf_multiply(p: BSParams, x: BrittonNF, y: BrittonNF, max_bits: int | None = None) -> BrittonNF:
     """Product of two canonical forms, computed by resuming the scan of x."""
     cap = resolve_max_bits(max_bits)
+    _check_size(len(x.tail) + len(y.tail))  # bounds the product's tail
     st = [list(entry) for entry in x.tail]
-    r0, st = _scan(p.m, p.n, x.r0, st, _nf_letters(y), cap)
+    r0, st = _scan(p.m, p.n, x.r0, st, _letters(y.to_word()), cap)
     return BrittonNF(r0, tuple((eps, r) for eps, r in st))
 
 
 def nf_invert(p: BSParams, x: BrittonNF, max_bits: int | None = None) -> BrittonNF:
-    cap = resolve_max_bits(max_bits)
-    r0, st = _scan(p.m, p.n, 0, [], _nf_letters_inverse(x), cap)
-    return BrittonNF(r0, tuple((eps, r) for eps, r in st))
+    return normalize(p, x.to_word().inverse(), max_bits)
 
 
 def nf_equal(p: BSParams, u: Word, v: Word, max_bits: int | None = None) -> bool:
     return normalize(p, u, max_bits) == normalize(p, v, max_bits)
+
+
+def bs_group(p: BSParams, max_bits: int | None = None) -> Group:
+    """BS(m, n) on Britton normal forms."""
+    cap = resolve_max_bits(max_bits)
+    return Group(BrittonNF(), lambda w: normalize(p, w, cap),
+                 lambda x, y: nf_multiply(p, x, y, cap), lambda x: nf_invert(p, x, cap))
 
 
 def nf_is_valid(p: BSParams, nf: BrittonNF) -> bool:

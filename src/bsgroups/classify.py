@@ -33,7 +33,7 @@ from .britton import BSParams
 from .errors import DomainError
 from .freeprod import BasisWord, fp_normalize, lift_basis
 from .intmath import prime_factors, prime_power
-from .words import Word
+from .words import Commutator, Conjugate, Gen, Power, Word, eval_expr
 
 
 def canonical_form(m: int, n: int) -> tuple[int, int]:
@@ -290,12 +290,9 @@ def r_generators(p: BSParams, K: int) -> list[Word]:
     """The commutators [t^k a^d t^-k, a] for |k| <= K, freely reduced."""
     if K < 0:
         raise DomainError("K must be >= 0")
-    d = p.d
-    out = []
-    for k in range(-K, K + 1):
-        x = Word.from_pairs([("t", k), ("a", d), ("t", -k)])
-        out.append(x.inverse() * Word.from_pairs([("a", -1)]) * x * Word.from_pairs([("a", 1)]))
-    return out
+    a, t = Gen("a"), Gen("t")
+    conjugates = (Conjugate(Power(a, p.d), Power(t, -k)) for k in range(-K, K + 1))
+    return [eval_expr(Commutator(x, a)) for x in conjugates]
 
 
 @dataclass(frozen=True)

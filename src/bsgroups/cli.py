@@ -12,8 +12,8 @@ import argparse
 import json
 import sys
 
-from .affine import gamma_quot_image, lcs_weight, to_affine
-from .britton import BSParams, nf_equal, normalize
+from .affine import affine_group, gamma_quot_image, lcs_weight
+from .britton import BSParams, bs_group
 from .classify import classify, free_subgroup_probe, prop5_chain, r_generators
 from .errors import BsError
 from .finquot import (
@@ -25,7 +25,7 @@ from .finquot import (
     fq_gamma_series,
 )
 from .witness import gamma_membership_witness, lemma2_witness, omega_stability_check
-from .words import Word, parse_word
+from .words import Word, evaluate, parse_expr, parse_word
 
 SWEEP_COLUMNS = [
     "m", "n", "canonical_m", "canonical_n", "ab", "rf", "rp_primes", "rn", "rtfn",
@@ -38,7 +38,8 @@ def _bool(v: bool) -> str:
 
 
 def _cmd_normalize(args):
-    nf = normalize(BSParams(args.m, args.n), parse_word(args.word, args.max_bits), args.max_bits)
+    G = bs_group(BSParams(args.m, args.n), args.max_bits)
+    nf = evaluate(G, parse_expr(args.word, args.max_bits))
     text = str(nf)
     return text, {
         "m": args.m,
@@ -51,19 +52,20 @@ def _cmd_normalize(args):
 
 
 def _cmd_eq(args):
-    u = parse_word(args.word1, args.max_bits)
-    v = parse_word(args.word2, args.max_bits)
-    equal = nf_equal(BSParams(args.m, args.n), u, v, args.max_bits)
+    G = bs_group(BSParams(args.m, args.n), args.max_bits)
+    u = evaluate(G, parse_expr(args.word1, args.max_bits))
+    equal = u == evaluate(G, parse_expr(args.word2, args.max_bits))
     return "equal" if equal else "not-equal", {"m": args.m, "n": args.n, "equal": equal}
 
 
 def _cmd_weight(args):
-    w = lcs_weight(args.n, to_affine(args.n, parse_word(args.word, args.max_bits), args.max_bits))
+    g = evaluate(affine_group(args.n, args.max_bits), parse_expr(args.word, args.max_bits))
+    w = lcs_weight(args.n, g)
     return str(w), {"n": args.n, "weight": "omega" if w.is_omega else w.index}
 
 
 def _cmd_quot_image(args):
-    g = to_affine(args.n, parse_word(args.word, args.max_bits), args.max_bits)
+    g = evaluate(affine_group(args.n, args.max_bits), parse_expr(args.word, args.max_bits))
     r = gamma_quot_image(args.n, args.i, g)
     return str(r), {"n": args.n, "i": args.i, "modulus": abs(args.n - 1), "image": r}
 

@@ -23,7 +23,7 @@ class ExponentCapExceeded(BsError):
 
 
 class WordSizeExceeded(BsError):
-    """A word power would produce an unreasonably long word."""
+    """A free word or a Britton product would grow past the syllable limit."""
 
 
 class DomainError(BsError):

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from .errors import DomainError, VerificationError
 from .intmath import is_prime, multiplicative_order, prime_factors, valuation
-from .words import Word
+from .words import Word, power
 
 CONSTRUCTION_ORDER_CAP = 10_000_000
 
@@ -136,31 +136,22 @@ class Wreath:
 FinQuot = Semidirect | Wreath
 
 
-def fq_pow(q: FinQuot, g, e: int):
-    e %= q.order  # Lagrange
-    acc = q.identity
-    base = g
-    while e:
-        if e & 1:
-            acc = q.mul(acc, base)
-        base = q.mul(base, base)
-        e >>= 1
-    return acc
-
-
 def fq_eval(q: FinQuot, w: Word):
-    """Image of a word under a -> a_img, t -> t_img."""
+    """Image of a word under a -> a_img, t -> t_img.
+
+    Exponents are reduced into [-|Q|/2, |Q|/2) first, so t^-1 is one inverse.
+    """
+    half = q.order // 2
     acc = q.identity
     for g, e in w.syllables:
-        img = q.a_img if g == "a" else q.t_img
-        acc = q.mul(acc, fq_pow(q, img, e))
+        e = (e + half) % q.order - half
+        acc = q.mul(acc, power(q, q.a_img if g == "a" else q.t_img, e))
     return acc
 
 
 def bs_relation_holds(q: FinQuot, m: int, n: int) -> bool:
     """Check t^-1 a^m t = a^n on the generator images."""
-    lhs = q.mul(q.mul(q.inv(q.t_img), fq_pow(q, q.a_img, m)), q.t_img)
-    return lhs == fq_pow(q, q.a_img, n)
+    return fq_eval(q, Word.from_pairs((("t", -1), ("a", m), ("t", 1), ("a", -n)))) == q.identity
 
 
 def build_semidirect(p: int, k: int, j: int, m: int, n: int) -> Semidirect:

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .britton import BSParams, nf_equal, normalize
+from .britton import BSParams, abelianize, nf_equal, normalize
 from .errors import DomainError, VerificationError
-from .words import Word, exp_sums
+from .words import Word, _reduce_pairs
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,23 +52,7 @@ def fp_normalize(d: int, w) -> FreeProdWord:
     """Reduce a Word (or raw pairs) to its Z * Z_d syllable normal form."""
     if d < 2:
         raise DomainError("free product Z * Z_d needs d >= 2")
-    pairs = w.syllables if isinstance(w, Word) else tuple(w)
-    out: list[tuple[str, int]] = []
-    for g, e in pairs:
-        if g == "a":
-            e %= d
-        if e == 0:
-            continue
-        if out and out[-1][0] == g:
-            merged = out[-1][1] + e
-            if g == "a":
-                merged %= d
-            out.pop()
-            if merged != 0:
-                out.append((g, merged))
-        else:
-            out.append((g, e))
-    return FreeProdWord(d, tuple(out))
+    return FreeProdWord(d, tuple(_reduce_pairs(w.syllables if isinstance(w, Word) else w, d)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,12 +146,8 @@ def split_central(p: BSParams, w: Word, max_bits: int | None = None) -> CentralS
     m = p.m
     if abs(p.n) != m or m < 2:
         raise DomainError("central splitting applies to BS(m, +-m) with m >= 2")
-    s = exp_sums(w)
-    ab_mod = abs(p.n - p.m)  # 0 for n = m, 2m for n = -m
-    in_gamma2 = s.sigma_t == 0 and (
-        s.sigma_a == 0 if ab_mod == 0 else s.sigma_a % ab_mod == 0
-    )
-    if not in_gamma2:
+    ab = abelianize(p, w)  # gamma_2 is the kernel of the abelianization
+    if ab.t_part or ab.a_part:
         raise DomainError("word is not in the commutator subgroup")
 
     basis = fp_rewrite_basis(fp_normalize(m, w))

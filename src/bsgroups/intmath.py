@@ -1,12 +1,16 @@
-"""Small integer helpers: Euclidean division, trial factoring, orders.
+"""Small integer helpers: Euclidean division, factoring, orders.
 
-Everything here is desk scale (inputs comfortably below 10**9), so trial
-division is plenty.
+Factoring is trial division by small numbers, then Brent-Pollard rho
+(Pollard, BIT 15, 1975) with deterministic Miller-Rabin, exact below
+MR_EXACT_BOUND (about 3.3 * 10**24).
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+import itertools
+from math import gcd
+
+from .errors import DomainError
 
 
 def euclid_divmod(e: int, d: int) -> tuple[int, int]:
@@ -20,39 +24,106 @@ def euclid_divmod(e: int, d: int) -> tuple[int, int]:
     return (e - r) // d, r
 
 
+# Prime factors below this bound are found by trial division; larger ones
+# by Pollard rho, certified by Miller-Rabin.
+_TRIAL_BOUND = 100
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
+# Rho steps spent on a cofactor above MR_EXACT_BOUND before giving up.
+_RHO_BUDGET = 1 << 20
+
+
 def prime_factors(n: int) -> dict[int, int]:
-    """Factor |n| > 0 by trial division, returned as {prime: multiplicity}."""
+    """Factor |n| > 0, returned as {prime: multiplicity}.
+
+    Exact below MR_EXACT_BOUND.  Above it, a cofactor that passes every
+    Miller-Rabin base, or that Pollard rho cannot split within its budget,
+    raises DomainError.
+    """
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
     out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        f += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    f = 2
+    while f < _TRIAL_BOUND and f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1
+    todo = [n] if n > 1 else []
+    while todo:
+        c = todo.pop()
+        if c < f * f or _is_prime_cofactor(c):  # c has no factor below f
+            out[c] = out.get(c, 0) + 1
+        else:
+            d = _rho(c)
+            todo += [d, c // d]
     return out
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
         return True
-    if n % 2 == 0:
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _is_prime_cofactor(c: int) -> bool:
+    """Primality of c >= _TRIAL_BOUND**2 with no prime factor below _TRIAL_BOUND."""
+    if not all(_strong_probable_prime(c, a) for a in _MR_BASES):
         return False
-    for f in range(3, isqrt(n) + 1, 2):
-        if n % f == 0:
-            return False
-    return True
+    if c < MR_EXACT_BOUND:
+        return True
+    raise DomainError(f"cannot factor {c}: Miller-Rabin is exact only below {MR_EXACT_BOUND}")
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n (Brent's variant of Pollard rho).
+
+    Below MR_EXACT_BOUND it retries until it succeeds, which takes about
+    sqrt(p) steps for the smallest prime factor p <= 1.9 * 10**12.
+    """
+    budget = _RHO_BUDGET if n >= MR_EXACT_BOUND else None
+    steps = 0
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if budget is not None and steps > budget:
+                raise DomainError(f"cannot factor {n} within {budget} Pollard rho steps")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            steps += 2 * r
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def is_prime(n: int) -> bool:
+    """Exact below MR_EXACT_BOUND; above it, a prime n raises DomainError."""
+    return n > 1 and prime_factors(n) == {n: 1}
 
 
 def prime_power(n: int) -> tuple[int, int] | None:

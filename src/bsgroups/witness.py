@@ -22,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .britton import BSParams, nf_equal
+from .britton import BSParams, bs_group
 from .classify import classify
 from .errors import DomainError, VerificationError
 from .words import (
+    MAX_NESTING,
     CommExpr,
     Commutator,
     Conjugate,
@@ -33,7 +34,7 @@ from .words import (
     Power,
     Product,
     Word,
-    eval_expr,
+    evaluate,
     gamma_weight_lower_bound,
     pretty_print,
 )
@@ -73,8 +74,8 @@ class MembershipWitness:
 
 def _verified(p: BSParams, expr: CommExpr, target: Word, depth: int,
               max_bits: int | None = None) -> MembershipWitness:
-    value = eval_expr(expr, max_bits)
-    if not nf_equal(p, value, target, max_bits):
+    G = bs_group(p, max_bits)
+    if evaluate(G, expr) != G.word(target):
         raise VerificationError(
             f"witness {pretty_print(expr)} does not evaluate to {target} "
             f"in BS({p.m},{p.n})"
@@ -92,8 +93,8 @@ def lemma2_witness(p: BSParams, i: int, max_bits: int | None = None) -> Membersh
 
     W_1 = [a^m, t], W_{i+1} = [W_i^m, t].
     """
-    if i < 1:
-        raise DomainError("witness index must be >= 1")
+    if not 1 <= i <= MAX_NESTING:
+        raise DomainError(f"witness index must be between 1 and {MAX_NESTING}")
     expr: CommExpr = Commutator(Power(Gen("a"), p.m), Gen("t"))
     for _ in range(i - 1):
         expr = Commutator(Power(expr, p.m), Gen("t"))
@@ -113,8 +114,8 @@ def gamma_membership_witness(
     (d = 1 makes the target the generator a itself).  Construction:
     U_1 = [a^m, t] and U_{j+1} = [U_j^(m/d), t]; every U_j evaluates to a^d.
     """
-    if s < 2:
-        raise DomainError("target depth s must be >= 2")
+    if not 2 <= s <= MAX_NESTING + 1:
+        raise DomainError(f"target depth s must be between 2 and {MAX_NESTING + 1}")
     if p.m < 1:
         raise DomainError("witness construction expects m >= 1")
     d = gcd(p.m, abs(p.n))
@@ -171,12 +172,7 @@ def omega_stability_check(p: BSParams, max_bits: int | None = None) -> OmegaStab
     q = BSParams(cm, cn)
     k = cm // d
     expr = Commutator(Power(Gen("a"), k * d), Gen("t"))
-    value = eval_expr(expr, max_bits)
-    target = Word.from_pairs((("a", d),))
-    if not nf_equal(q, value, target, max_bits):
-        raise VerificationError(
-            f"stability identity failed: [a^{k * d}, t] != a^{d} in BS({cm},{cn})"
-        )
+    _verified(q, expr, Word.from_pairs((("a", d),)), 2, max_bits)
     return OmegaStabilityReport(
         p.m, p.n, d, k, f"a^{d} = [a^{k * d}, t] with a^{k * d} in gamma_omega", True
     )

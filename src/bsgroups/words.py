@@ -25,17 +25,20 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import reduce
+from itertools import groupby
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, ExponentCapExceeded, ParseError, WordSizeExceeded
 
 DEFAULT_MAX_BITS = 1_000_000
 ENV_MAX_BITS = "BS_MAX_BITS"
 
-# Hard guard for eval of Power nodes: number of letters a single word may
-# reach before we refuse to expand further.
-_MAX_POWER_LETTERS = 2_000_000
+# Longest free word (in syllables) a product may build; a commutator tower
+# doubles its length per level, so this stops it near depth 20.
+_MAX_SYLLABLES = 2_000_000
 
-# Deepest bracket nesting the parser accepts.  Parsing, eval_expr and
+# Deepest bracket nesting the parser accepts.  Parsing, evaluate and
 # pretty_print recurse once or a few times per level, so this keeps them
 # well inside Python's default recursion limit.
 MAX_NESTING = 200
@@ -60,25 +63,27 @@ def _check_cap(x: int, cap: int) -> int:
     return x
 
 
+def _check_size(syllables: int) -> None:
+    if syllables > _MAX_SYLLABLES:
+        raise WordSizeExceeded(f"word would reach {syllables} syllables, limit {_MAX_SYLLABLES}")
+
+
 # ---------------------------------------------------------------------------
 # Words
 
 
-def _reduce_pairs(pairs) -> list[tuple[str, int]]:
-    # One streaming pass; popping a cancelled syllable exposes the previous
-    # one to the next incoming syllable, which handles cascades.
+def _reduce_pairs(pairs, d: int = 0) -> list[tuple[str, int]]:
+    # One streaming pass; a syllable that cancels exposes the previous one to
+    # the next, which handles cascades.  d > 0 reduces a-exponents mod d.
     out: list[tuple[str, int]] = []
     for gen, exp in pairs:
-        if exp == 0:
-            continue
         if gen not in ("a", "t"):
             raise ValueError(f"unknown generator {gen!r}")
         if out and out[-1][0] == gen:
-            merged = out[-1][1] + exp
-            out.pop()
-            if merged != 0:
-                out.append((gen, merged))
-        else:
+            exp += out.pop()[1]
+        if d and gen == "a":
+            exp %= d
+        if exp:
             out.append((gen, exp))
     return out
 
@@ -98,9 +103,6 @@ class Word:
     def is_identity(self) -> bool:
         return not self.syllables
 
-    def letter_count(self) -> int:
-        return sum(abs(e) for _, e in self.syllables)
-
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
 
@@ -108,36 +110,12 @@ class Word:
         return Word.from_pairs(self.syllables + other.syllables)
 
     def __pow__(self, k: int) -> "Word":
-        return word_pow(self, k)
+        return power(free_group(resolve_max_bits()), self, k)
 
     def __str__(self) -> str:
         if not self.syllables:
             return "1"
         return " ".join(g if e == 1 else f"{g}^{e}" for g, e in self.syllables)
-
-
-def word_pow(w: Word, k: int, max_bits: int | None = None) -> Word:
-    cap = resolve_max_bits(max_bits)
-    if k == 0 or w.is_identity:
-        return Word()
-    if len(w.syllables) == 1:
-        g, e = w.syllables[0]
-        return Word(((g, _check_cap(e * k, cap)),))
-    if abs(k) * w.letter_count() > _MAX_POWER_LETTERS:
-        raise WordSizeExceeded(
-            f"power would reach about {abs(k) * w.letter_count()} letters"
-        )
-    base = w if k > 0 else w.inverse()
-    result = Word()
-    square = base
-    k = abs(k)
-    while k:
-        if k & 1:
-            result = result * square
-        k >>= 1
-        if k:
-            square = square * square
-    return result
 
 
 @dataclass(frozen=True, slots=True)
@@ -318,36 +296,87 @@ def _factor(expr: CommExpr) -> str:
     return pretty_print(expr)
 
 
-def eval_expr(expr: CommExpr, max_bits: int | None = None) -> Word:
-    """Evaluate an expression to a freely reduced Word."""
-    cap = resolve_max_bits(max_bits)
-    return Word(tuple(_eval(expr, cap)))
+class Group(NamedTuple):
+    """A group as callables: word(w) is the image of a free Word."""
+
+    identity: object
+    word: Callable[[Word], object]
+    mul: Callable[[object, object], object]
+    inv: Callable[[object], object]
 
 
-def _eval(expr: CommExpr, cap: int) -> list[tuple[str, int]]:
-    if isinstance(expr, Gen):
-        return [(expr.name, 1)]
-    if isinstance(expr, Power):
-        base = Word(tuple(_eval(expr.base, cap)))
-        return list(word_pow(base, expr.exp, cap).syllables)
+def power(G, x, e: int):
+    """x^e by square-and-multiply; G needs only identity, mul and inv."""
+    if e < 0:
+        x, e = G.inv(x), -e
+    acc = G.identity
+    while e:
+        if e & 1:
+            acc = G.mul(acc, x)
+        e >>= 1
+        if e:
+            x = G.mul(x, x)
+    return acc
+
+
+def free_group(cap: int) -> Group:
+    """Free group on a, t: reduced Words with bit-capped exponents."""
+
+    def word(w: Word) -> Word:
+        _check_cap(max((abs(e) for _, e in w.syllables), default=0), cap)
+        return w
+
+    def mul(x: Word, y: Word) -> Word:
+        # both factors are reduced, so they cancel or merge only at the seam
+        xs, ys = x.syllables, y.syllables
+        k, i, seam = len(xs), 0, ()
+        while not seam and k and i < len(ys) and xs[k - 1][0] == ys[i][0]:
+            k, i = k - 1, i + 1
+            e = xs[k][1] + ys[i - 1][1]
+            seam = ((ys[i - 1][0], _check_cap(e, cap)),) if e else ()
+        _check_size(k + len(seam) + len(ys) - i)
+        return Word(xs[:k] + seam + ys[i:])
+
+    return Group(Word(), word, mul, Word.inverse)
+
+
+def _syllable(expr: CommExpr):
+    if isinstance(expr, Power) and isinstance(expr.base, Gen):
+        return expr.base.name, expr.exp
+    return (expr.name, 1) if isinstance(expr, Gen) else None
+
+
+def evaluate(G: Group, expr: CommExpr):
+    """Value of an expression in G, computed from the values of its parts.
+
+    An i-fold commutator costs O(i) group operations, not its free word's
+    length.  A run of generator powers goes through G.word in one call.
+    """
     if isinstance(expr, Product):
-        out: list[tuple[str, int]] = []
-        for f in expr.factors:
-            out.extend(_eval(f, cap))
-        return _reduce_pairs(out)
+        values = []
+        for flat, run in groupby(expr.factors, lambda f: _syllable(f) is not None):
+            if flat:
+                values.append(G.word(Word.from_pairs(map(_syllable, run))))
+            else:
+                values.extend(evaluate(G, f) for f in run)
+        return reduce(G.mul, values) if values else G.identity
+    syllable = _syllable(expr)
+    if syllable is not None:
+        return G.word(Word.from_pairs((syllable,)))
+    if isinstance(expr, Power):
+        return power(G, evaluate(G, expr.base), expr.exp)
     if isinstance(expr, Commutator):
-        x = _eval(expr.left, cap)
-        y = _eval(expr.right, cap)
-        return _reduce_pairs(_inv(x) + _inv(y) + x + y)
+        x, y = evaluate(G, expr.left), evaluate(G, expr.right)
+        return G.mul(G.mul(G.inv(x), G.inv(y)), G.mul(x, y))
     if isinstance(expr, Conjugate):
-        x = _eval(expr.inner, cap)
-        y = _eval(expr.by, cap)
-        return _reduce_pairs(_inv(y) + x + y)
+        x, y = evaluate(G, expr.inner), evaluate(G, expr.by)
+        return G.mul(G.mul(G.inv(y), x), y)
     raise TypeError(f"not a CommExpr: {expr!r}")
 
 
-def _inv(pairs: list[tuple[str, int]]) -> list[tuple[str, int]]:
-    return [(g, -e) for g, e in reversed(pairs)]
+def eval_expr(expr: CommExpr, max_bits: int | None = None) -> Word:
+    """Evaluate an expression to a freely reduced Word."""
+    return evaluate(free_group(resolve_max_bits(max_bits)), expr)
 
 
 def parse_word(text: str, max_bits: int | None = None) -> Word:

@@ -112,3 +112,23 @@ def brute_gamma_series(q: FinQuot) -> list[frozenset]:
         chain.append(nxt)
         current = nxt
     return chain
+
+
+def trial_factors(n: int) -> dict[int, int]:
+    """Factor |n| > 0 by trial division: the oracle for intmath.prime_factors."""
+    n = abs(n)
+    out: dict[int, int] = {}
+    for p in (2, 3):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    f = 5
+    while f * f <= n:
+        for p in (f, f + 2):
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+        f += 6
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out

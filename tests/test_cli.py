@@ -253,6 +253,32 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def test_deep_witnesses_answer(capsys):
+    for i in ("10", "25"):
+        code, out, _ = _run(capsys, ["witness", "lemma2", "-m", "2", "-n", "5", "-i", i])
+        assert code == 0 and f"= a^{3 ** int(i)} in BS(2,5)" in out
+    code, _, err = _run(capsys, ["witness", "lemma2", "-m", "2", "-n", "5", "-i", "201"])
+    _assert_one_line_error(code, err)
+
+
+def test_free_word_size_limit(capsys):
+    tower = "a"
+    for _ in range(20):
+        tower = f"[{tower}, t]"
+    code, _, err = _run(capsys, ["oracle", "certify", "-m", "2", "-n", "4", "-i", "3", tower])
+    _assert_one_line_error(code, err)
+    assert "syllables" in err
+
+
+def test_classify_factors_large_n(capsys):
+    # n - 1 = 998244353 * 1000000007, past what trial division finishes
+    code, out, _ = _run(capsys, ["classify", "-m", "1", "-n", "998244359987710472", "--json"])
+    assert code == 0
+    assert json.loads(out)["residually_p"]["primes"] == [998244353, 1000000007]
+    code, out, _ = _run(capsys, ["classify", "-m", "1", "-n", "998244359987710472", "--csv"])
+    assert code == 0 and out.splitlines()[1].split(",")[6] == "998244353;1000000007"
+
+
 def test_env_bit_cap(monkeypatch, capsys):
     monkeypatch.setenv("BS_MAX_BITS", "16")
     code, _, err = _run(capsys, ["normalize", "-m", "1", "-n", "2", "t^-40 a t^40"])

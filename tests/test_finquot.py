@@ -21,10 +21,9 @@ from bsgroups.finquot import (
     certify_not_in_gamma,
     fq_eval,
     fq_gamma_series,
-    fq_pow,
     quotient_family,
 )
-from bsgroups.words import parse_word
+from bsgroups.words import parse_word, power
 
 from helpers import brute_gamma_series, elements, insert_relator, rand_word
 
@@ -80,9 +79,9 @@ def test_fq_pow_matches_repeated_mul():
     g = (1, 1)
     acc = q.identity
     for e in range(10):
-        assert fq_pow(q, g, e) == acc
+        assert power(q, g, e) == acc
         acc = q.mul(acc, g)
-    assert fq_pow(q, g, -3) == q.inv(fq_pow(q, g, 3))
+    assert power(q, g, -3) == q.inv(power(q, g, 3))
 
 
 def test_gamma_chain_frozen_values():
@@ -239,6 +238,34 @@ def test_fq_eval_is_well_defined_on_the_group():
             w = rand_word(rng)
             assert fq_eval(q, insert_relator(rng, p, w)) == fq_eval(q, w)
             assert fq_eval(q, w * w.inverse()) == q.identity
+
+
+class _CountingQuotient:
+    """Forwards to a quotient and counts its mul and inv calls."""
+
+    def __init__(self, q):
+        self.q = q
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.q, name)
+
+    def mul(self, g, h):
+        self.calls += 1
+        return self.q.mul(g, h)
+
+    def inv(self, g):
+        self.calls += 1
+        return self.q.inv(g)
+
+
+def test_fq_eval_inverse_syllable_costs_one_inverse():
+    q = _CountingQuotient(build_wreath(2, 1, 4))  # Z_2 wr Z_16, order 2^20
+    for text in ("t^-1", "a^-1"):
+        q.calls = 0
+        image = fq_eval(q, parse_word(text))
+        assert q.calls <= 3
+        assert image == q.inv(fq_eval(q.q, parse_word(text[0])))
 
 
 def test_certify_examples():

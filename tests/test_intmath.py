@@ -1,0 +1,35 @@
+import random
+
+import pytest
+
+from bsgroups.errors import DomainError
+from bsgroups.intmath import MR_EXACT_BOUND, is_prime, prime_factors
+
+from helpers import trial_factors
+
+
+def test_prime_factors_match_trial_division():
+    for n in range(1, 10**5):
+        assert prime_factors(n) == trial_factors(n), n
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randrange(1, 10**9)
+        assert prime_factors(n) == trial_factors(n), n
+
+
+def test_prime_factors_beyond_trial_division():
+    # products of two primes near 10^9 and 10^12, and a square of a prime
+    assert prime_factors(998244359987710471) == {998244353: 1, 1000000007: 1}
+    assert prime_factors(999999999959 * 999999999989) == {999999999959: 1, 999999999989: 1}
+    assert prime_factors(-(1000003**2) * 12) == {2: 2, 3: 1, 1000003: 2}
+    assert prime_factors(2**61 - 1) == {2**61 - 1: 1}
+    assert is_prime(2**61 - 1) and not is_prime(561) and not is_prime(1)
+
+
+def test_unsplittable_cofactor_is_a_domain_error():
+    p = 2**89 - 1  # a prime above the bound where Miller-Rabin is exact
+    assert p > MR_EXACT_BOUND
+    with pytest.raises(DomainError):
+        prime_factors(p)
+    with pytest.raises(DomainError):
+        prime_factors(p * (2**61 - 1))  # both factors too large for the rho budget

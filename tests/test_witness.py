@@ -9,7 +9,7 @@ from bsgroups.witness import (
     lemma2_witness,
     omega_stability_check,
 )
-from bsgroups.words import Commutator, Gen, Power, Product, eval_expr, parse_expr, parse_word, pretty_print
+from bsgroups.words import MAX_NESTING, Commutator, Gen, Power, Product, eval_expr, parse_expr, parse_word, pretty_print
 
 
 def test_comm_depth():
@@ -36,6 +36,17 @@ def test_lemma2_examples():
 
     with pytest.raises(DomainError):
         lemma2_witness(BSParams(2, 5), 0)
+
+
+def test_lemma2_deep_witness():
+    # the free word of W_25 would have about 2^26 letters
+    assert lemma2_witness(BSParams(2, 5), 25).target == parse_word(f"a^{3**25}")
+    text = pretty_print(lemma2_witness(BSParams(2, 5), MAX_NESTING).expr)
+    assert pretty_print(parse_expr(text)) == text
+    with pytest.raises(DomainError):
+        lemma2_witness(BSParams(2, 5), MAX_NESTING + 1)
+    with pytest.raises(DomainError):
+        gamma_membership_witness(BSParams(2, 3), parse_word("a"), MAX_NESTING + 2)
 
 
 def test_lemma2_grid():

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsgroups.errors import ExponentCapExceeded, ParseError
+from bsgroups.affine import affine_group, to_affine
+from bsgroups.britton import BSParams, bs_group, normalize
+from bsgroups.errors import ExponentCapExceeded, ParseError, WordSizeExceeded
+from bsgroups.finquot import build_semidirect, build_wreath
 from bsgroups.words import (
     Commutator,
     Conjugate,
@@ -14,11 +17,14 @@ from bsgroups.words import (
     Product,
     Word,
     eval_expr,
+    evaluate,
     MAX_NESTING,
     exp_sums,
+    free_group,
     parse_expr,
     parse_word,
     pretty_print,
+    power,
 )
 
 word_pairs = st.lists(
@@ -180,3 +186,72 @@ def test_exponent_cap():
         parse_expr("a^123456789", max_bits=8)
     with pytest.raises(ExponentCapExceeded):
         eval_expr(Power(Gen("a"), 1 << 40), max_bits=16)
+
+
+def _rand_exprs(rng, count):
+    for _ in range(count):
+        yield rand_expr(rng, 4)
+        yield Conjugate(rand_expr(rng, 2), rand_expr(rng, 2))
+
+
+def test_evaluate_in_britton_matches_normalizing_the_free_word():
+    rng = random.Random(17)
+    sizes = [k for k in range(-6, 7) if k]
+    for _ in range(100):
+        p = BSParams(rng.choice(sizes), rng.choice(sizes))
+        for e in _rand_exprs(rng, 3):
+            assert evaluate(bs_group(p), e) == normalize(p, eval_expr(e))
+
+
+def test_evaluate_in_affine_matches_the_free_word():
+    rng = random.Random(19)
+    for n in (k for k in range(-6, 7) if k):
+        for e in _rand_exprs(rng, 30):
+            assert evaluate(affine_group(n), e) == to_affine(n, eval_expr(e))
+
+
+def test_power_matches_repeated_mul():
+    groups = [
+        (free_group(64), parse_word("a t^2 A")),
+        (bs_group(BSParams(2, 3)), normalize(BSParams(2, 3), parse_word("t a"))),
+        (affine_group(3), to_affine(3, parse_word("t a"))),
+        (build_semidirect(2, 3, 1, 1, 3), (3, 1)),
+        (build_wreath(2, 1, 2), ((1, 0, 1, 1), 3)),
+    ]
+    for G, x in groups:
+        acc = G.identity
+        for e in range(12):
+            assert power(G, x, e) == acc
+            assert power(G, x, -e) == G.inv(acc)
+            acc = G.mul(acc, x)
+
+
+def test_free_words_are_size_capped():
+    tower = "a"
+    for _ in range(20):
+        tower = f"[{tower}, t]"
+    # 2^21 + 1 syllables, just past the limit
+    with pytest.raises(WordSizeExceeded):
+        parse_word(tower)
+    with pytest.raises(WordSizeExceeded):
+        parse_word("(a t)^1000000000")
+
+
+@settings(max_examples=50)
+@given(word_pairs, word_pairs)
+def test_free_mul_matches_word_product(p1, p2):
+    u, v = Word.from_pairs(p1), Word.from_pairs(p2)
+    assert free_group(64).mul(u, v) == u * v
+
+
+def test_merged_exponents_are_capped():
+    with pytest.raises(ExponentCapExceeded):
+        eval_expr(Power(Power(Gen("a"), 1 << 10), 1 << 10), max_bits=16)
+
+
+def test_britton_products_are_size_capped(monkeypatch):
+    monkeypatch.setattr("bsgroups.words._MAX_SYLLABLES", 1000)
+    G = bs_group(BSParams(2, 3))
+    assert len(evaluate(G, parse_expr("[a, t]^100")).tail) == 200
+    with pytest.raises(WordSizeExceeded):
+        evaluate(G, parse_expr("[a, t]^1000000000"))

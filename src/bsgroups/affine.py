@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .intmath import prime_factors, valuation
-from .words import Group, Word, resolve_max_bits, _check_cap
+from .words import Group, Word, decimal, resolve_max_bits, _check_cap
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,7 +34,7 @@ class ZnElement:
     l: int = 0
 
     def __str__(self) -> str:
-        return str(self.num) if self.l == 0 else f"{self.num}/n^{self.l}"
+        return decimal(self.num) if self.l == 0 else f"{decimal(self.num)}/n^{self.l}"
 
 
 _ZERO = ZnElement(0, 0)

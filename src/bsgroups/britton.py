@@ -17,16 +17,31 @@ and cancels pinches as they surface.  Two words are equal in BS(m, n) exactly
 when their canonical forms coincide, for any nonzero m, n (no parameter
 canonicalization happens here).  Exponents can grow like n^k, so every
 addition is bit-capped.
+
+The scan is linear in syllables plus tail entries.  One stack holds (0, r0)
+and then the tail as (eps, r) tuples, and t^e is one step: canonicalize the
+top, pop while it is (-sign e, 0), push the rest of the run whole.  The top's
+carry waits in the entry below; every entry below a low-water mark lo stays
+canonical.  A final top-down pass settles the deferred carries and stops at
+the first entry at or below lo that passes on no carry.  It meets no pinch: a
+carry from an upper neighbour of the other sign is a multiple of the entry's
+modulus (t a^{nq} = a^{mq} t), and an entry gets a new upper neighbour only as
+the top, where it is settled at once.  Every step applies a relation and the
+result is canonical and pinch-free, so by uniqueness it is the same whenever
+carries settle.  Only the bit cap can tell: a deferred sum holds up to one
+carry per step, so it may need up to 1 + bit_length(steps) bits more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd
 
 from .errors import DomainError
 from .intmath import euclid_divmod
-from .words import ExpSums, Group, Word, exp_sums, resolve_max_bits, _check_cap, _check_size
+from .words import ExpSums, Group, Word, decimal, exp_sums, resolve_max_bits
+from .words import _check_cap, _check_size
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,86 +79,77 @@ class BrittonNF:
     def __str__(self) -> str:
         parts: list[str] = []
         if self.r0 != 0:
-            parts.append("a" if self.r0 == 1 else f"a^{self.r0}")
+            parts.append("a" if self.r0 == 1 else f"a^{decimal(self.r0)}")
         for eps, r in self.tail:
             bit = "t" if eps == 1 else "t^-1"
             if r != 0:
-                bit += " a" if r == 1 else f" a^{r}"
+                bit += " a" if r == 1 else f" a^{decimal(r)}"
             parts.append(f"({bit})")
         return " ".join(parts) if parts else "1"
 
 
-def _letters(w: Word):
-    for g, e in w.syllables:
-        if g == "a":
-            yield "a", e
-        else:
-            step = 1 if e > 0 else -1
-            for _ in range(abs(e)):
-                yield "t", step
+def _reduce(m: int, n: int, eps: int, r: int) -> tuple[int, int]:
+    """t^eps a^r = a^carry t^eps a^rem with rem canonical; returns (rem, carry)."""
+    if eps < 0:
+        q, rem = euclid_divmod(r, m)
+        return rem, n * q
+    q, rem = euclid_divmod(r, n)
+    return rem, m * q
 
 
-def _settle(m: int, n: int, r0: int, st: list[list[int]], cap: int) -> int:
-    """Canonicalize the top entry; ripple quotients and pinches downward.
-
-    Everything below the top is canonical and pinch-free on entry; the same
-    holds for the whole stack on exit.
-    """
-    i = len(st) - 1
-    while i >= 0:
+def _settle(m: int, n: int, st: list, lo: int, cap: int) -> None:
+    """The final pass: settle the deferred carries from the top down."""
+    carry = 0
+    for i in range(len(st) - 1, 0, -1):
         eps, r = st[i]
-        if eps < 0:
-            q, rem = euclid_divmod(r, m)
-            carry = n * q
-        else:
-            q, rem = euclid_divmod(r, n)
-            carry = m * q
-        st[i][1] = rem
-        if rem == 0 and i + 1 < len(st) and st[i + 1][0] == -eps:
-            # t^eps a^0 t^-eps cancels; its trailing exponent falls through
-            carry += st[i + 1][1]
-            del st[i : i + 2]
-        elif carry == 0:
-            break
-        i -= 1
-        if i >= 0:
-            st[i][1] = _check_cap(st[i][1] + carry, cap)
-        else:
-            r0 = _check_cap(r0 + carry, cap)
-    return r0
+        rem, carry = _reduce(m, n, eps, _check_cap(r + carry, cap) if carry else r)
+        if rem != r:
+            st[i] = (eps, rem)
+        if carry == 0 and i <= lo:
+            return
+    st[0] = (0, _check_cap(st[0][1] + carry, cap))
 
 
-def _scan(m: int, n: int, r0: int, st: list[list[int]], letters, cap: int):
-    for g, e in letters:
+def _scan(m: int, n: int, st: list, lo: int, syllables, cap: int) -> None:
+    """Read syllables onto the stack [(0, r0), (eps, r), ...], then settle it."""
+    am, an = abs(m), abs(n)
+    for g, e in syllables:
         if g == "a":
-            if st:
-                st[-1][1] = _check_cap(st[-1][1] + e, cap)
-            else:
-                r0 = _check_cap(r0 + e, cap)
-        else:
-            r0 = _settle(m, n, r0, st, cap)
-            if st and st[-1][1] == 0 and st[-1][0] == -e:
-                st.pop()
-            else:
-                st.append([e, 0])
-    r0 = _settle(m, n, r0, st, cap)
-    return r0, st
+            st[-1] = (st[-1][0], _check_cap(st[-1][1] + e, cap))
+            continue
+        s, k = (1, e) if e > 0 else (-1, -e)
+        while len(st) > 1:
+            # canonicalize the top only; its carry waits in the entry below
+            eps, rem = st[-1]
+            if not 0 <= rem < (am if eps < 0 else an):
+                rem, carry = _reduce(m, n, eps, rem)
+                st[-1] = (eps, rem)
+                st[-2] = (st[-2][0], _check_cap(st[-2][1] + carry, cap))
+                lo = min(lo, max(len(st) - 2, 1))  # st[0] is never settled
+            if not k or rem or eps != -s:
+                break
+            st.pop()
+            k -= 1
+        if lo >= len(st) - 1:  # a push onto a clean stack keeps it clean
+            lo = len(st) + k
+        _check_size(len(st) - 1 + k)  # bounds the tail before it is built
+        st.extend([(s, 0)] * k)
+    _settle(m, n, st, lo, cap)
 
 
 def normalize(p: BSParams, w: Word, max_bits: int | None = None) -> BrittonNF:
     """Britton normal form of a word; solves the word problem for BS(m, n)."""
-    cap = resolve_max_bits(max_bits)
-    r0, st = _scan(p.m, p.n, 0, [], _letters(w), cap)
-    return BrittonNF(r0, tuple((eps, r) for eps, r in st))
+    st = [(0, 0)]
+    _scan(p.m, p.n, st, 1, w.syllables, resolve_max_bits(max_bits))
+    return BrittonNF(st[0][1], tuple(st[1:]))
 
 
 def nf_multiply(p: BSParams, x: BrittonNF, y: BrittonNF, max_bits: int | None = None) -> BrittonNF:
     """Product of two canonical forms, computed by resuming the scan of x."""
-    cap = resolve_max_bits(max_bits)
-    _check_size(len(x.tail) + len(y.tail))  # bounds the product's tail
-    st = [list(entry) for entry in x.tail]
-    r0, st = _scan(p.m, p.n, x.r0, st, _letters(y.to_word()), cap)
-    return BrittonNF(r0, tuple((eps, r) for eps, r in st))
+    st = [(0, x.r0), *x.tail]
+    ys = chain((("a", y.r0),), chain.from_iterable((("t", eps), ("a", r)) for eps, r in y.tail))
+    _scan(p.m, p.n, st, len(st), ys, resolve_max_bits(max_bits))
+    return BrittonNF(st[0][1], tuple(st[1:]))
 
 
 def nf_invert(p: BSParams, x: BrittonNF, max_bits: int | None = None) -> BrittonNF:

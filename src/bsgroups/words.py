@@ -57,6 +57,33 @@ def resolve_max_bits(value: int | None = None) -> int:
     return value
 
 
+# CPython (3.10.7 on) refuses int <-> str conversions past a process-wide
+# digit limit, 4300 by default and never below 640.
+_PIECE = 640
+
+
+def decimal(x):
+    """str(x) for an int, int(x) for a decimal string, at any length.
+
+    Long numbers are converted in pieces of at most _PIECE digits, so the
+    process-wide limit is never met and never changed.
+    """
+    if isinstance(x, str):
+        if x[:1] == "-":
+            return -decimal(x[1:])
+        if len(x) <= _PIECE:
+            return int(x)
+        h = len(x) // 2
+        return decimal(x[:-h]) * 10**h + decimal(x[-h:])
+    if x < 0:
+        return "-" + decimal(-x)
+    if x.bit_length() <= 3 * _PIECE:  # under 10^_PIECE
+        return str(x)
+    h = int(x.bit_length() * 0.30103) // 2  # about half the digits
+    hi, lo = divmod(x, 10**h)
+    return decimal(hi) + decimal(lo).zfill(h)
+
+
 def _check_cap(x: int, cap: int) -> int:
     if x.bit_length() > cap:
         raise ExponentCapExceeded(x.bit_length(), cap)
@@ -115,7 +142,7 @@ class Word:
     def __str__(self) -> str:
         if not self.syllables:
             return "1"
-        return " ".join(g if e == 1 else f"{g}^{e}" for g, e in self.syllables)
+        return " ".join(g if e == 1 else f"{g}^{decimal(e)}" for g, e in self.syllables)
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,13 +272,15 @@ class _Parser:
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == digits:
             raise self.error("expected an integer")
-        value = int(self.text[start : self.pos])
-        _check_cap(value, self.cap)
-        return value
+        # D digits make more than 3(D - 1) bits: refuse before converting
+        bits = 3 * (len(self.text[digits : self.pos].lstrip("0")) - 1) + 1
+        if bits > self.cap:
+            raise ExponentCapExceeded(bits, self.cap)
+        return _check_cap(decimal(self.text[start : self.pos]), self.cap)
 
 
 def parse_expr(text: str, max_bits: int | None = None) -> CommExpr:

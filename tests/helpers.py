@@ -5,9 +5,10 @@ from __future__ import annotations
 import itertools
 import random
 
-from bsgroups.britton import BSParams
+from bsgroups.britton import BrittonNF, BSParams
 from bsgroups.finquot import FinQuot, Semidirect
-from bsgroups.words import Word
+from bsgroups.intmath import euclid_divmod
+from bsgroups.words import Word, _check_cap
 
 
 def rand_word(rng: random.Random, max_syllables: int = 8, max_exp: int = 3) -> Word:
@@ -132,3 +133,69 @@ def trial_factors(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+# Eager Britton scan: t^e letter by letter, every carry rippled down the whole
+# stack at once.  Quadratic on deep commutators, but each step is one
+# relation; the oracle for bsgroups.britton's deferred-carry scan.
+
+
+def _eager_letters(w: Word):
+    for g, e in w.syllables:
+        if g == "a":
+            yield "a", e
+        else:
+            step = 1 if e > 0 else -1
+            for _ in range(abs(e)):
+                yield "t", step
+
+
+def _eager_settle(m: int, n: int, r0: int, st: list[list[int]], cap: int) -> int:
+    # Everything below the top is canonical and pinch-free on entry; the same
+    # holds for the whole stack on exit.
+    i = len(st) - 1
+    while i >= 0:
+        eps, r = st[i]
+        if eps < 0:
+            q, rem = euclid_divmod(r, m)
+            carry = n * q
+        else:
+            q, rem = euclid_divmod(r, n)
+            carry = m * q
+        st[i][1] = rem
+        if rem == 0 and i + 1 < len(st) and st[i + 1][0] == -eps:
+            carry += st[i + 1][1]
+            del st[i : i + 2]
+        elif carry == 0:
+            break
+        i -= 1
+        if i >= 0:
+            st[i][1] = _check_cap(st[i][1] + carry, cap)
+        else:
+            r0 = _check_cap(r0 + carry, cap)
+    return r0
+
+
+def _eager_scan(p: BSParams, r0: int, st: list[list[int]], w: Word, cap: int) -> BrittonNF:
+    for g, e in _eager_letters(w):
+        if g == "a":
+            if st:
+                st[-1][1] = _check_cap(st[-1][1] + e, cap)
+            else:
+                r0 = _check_cap(r0 + e, cap)
+        else:
+            r0 = _eager_settle(p.m, p.n, r0, st, cap)
+            if st and st[-1][1] == 0 and st[-1][0] == -e:
+                st.pop()
+            else:
+                st.append([e, 0])
+    r0 = _eager_settle(p.m, p.n, r0, st, cap)
+    return BrittonNF(r0, tuple((eps, r) for eps, r in st))
+
+
+def eager_normalize(p: BSParams, w: Word, max_bits: int = 1 << 40) -> BrittonNF:
+    return _eager_scan(p, 0, [], w, max_bits)
+
+
+def eager_multiply(p: BSParams, x: BrittonNF, y: BrittonNF, max_bits: int = 1 << 40) -> BrittonNF:
+    return _eager_scan(p, x.r0, [list(entry) for entry in x.tail], y.to_word(), max_bits)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bsgroups.britton as britton
 from bsgroups.britton import (
     AbImage,
     BrittonNF,
@@ -18,7 +19,7 @@ from bsgroups.britton import (
 from bsgroups.errors import DomainError, ExponentCapExceeded
 from bsgroups.words import Word, parse_word
 
-from helpers import insert_relator, rand_word
+from helpers import commutator, eager_multiply, eager_normalize, insert_relator, rand_word
 
 GRID = [BSParams(m, n) for m in (1, 2, 3) for n in (-3, -2, -1, 1, 2, 3) ]
 
@@ -152,3 +153,141 @@ def test_exponent_cap_triggers():
 def test_normalize_idempotent(p, pairs):
     nf = normalize(p, Word.from_pairs(pairs))
     assert normalize(p, nf.to_word()) == nf
+
+
+# The deferred-carry scan against the eager scan it replaced (tests/helpers.py).
+
+params = st.builds(BSParams, st.integers(-6, 6).filter(bool), st.integers(-6, 6).filter(bool))
+small_syllables = st.tuples(st.sampled_from("at"), st.integers(-3, 3).filter(bool))
+syllables = st.one_of(
+    small_syllables,
+    st.tuples(st.just("a"), st.integers(-10**6, 10**6).filter(bool)),
+    st.tuples(st.just("t"), st.integers(-1000, 1000).filter(bool)),
+)
+
+
+@st.composite
+def spliced_words(draw, p):
+    """Random syllables with relator conjugates u^-1 R^+-1 u spliced in."""
+    pairs = draw(st.lists(syllables, max_size=10))
+    for _ in range(draw(st.integers(0, 2))):
+        u = Word.from_pairs(draw(st.lists(small_syllables, max_size=3)))
+        rel = Word.from_pairs((("t", -1), ("a", p.m), ("t", 1), ("a", -p.n)))
+        if draw(st.booleans()):
+            rel = rel.inverse()
+        cut = draw(st.integers(0, len(pairs)))
+        pairs[cut:cut] = (u.inverse() * rel * u).syllables
+    return Word.from_pairs(pairs)
+
+
+@st.composite
+def commutator_words(draw):
+    """Left-normed commutator of depth <= 8 of short words."""
+    factors = draw(st.lists(st.lists(small_syllables, min_size=1, max_size=2), min_size=2, max_size=9))
+    w = Word.from_pairs(factors[0])
+    for f in factors[1:]:
+        w = commutator(w, Word.from_pairs(f))
+    return w
+
+
+@st.composite
+def group_words(draw):
+    p = draw(params)
+    return p, draw(st.one_of(spliced_words(p), commutator_words()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_words(), st.data())
+def test_scan_matches_eager_oracle(pw, data):
+    p, w = pw
+    nf = normalize(p, w)
+    assert nf == eager_normalize(p, w) and nf_is_valid(p, nf)
+    assert nf_invert(p, nf) == eager_normalize(p, w.inverse())
+    x = normalize(p, data.draw(spliced_words(p)))
+    assert nf_multiply(p, x, nf) == eager_multiply(p, x, nf)
+
+
+def _least_cap(f) -> int:
+    """Smallest bit cap at which f(cap) raises no ExponentCapExceeded."""
+
+    def ok(cap):
+        try:
+            f(cap)
+        except ExponentCapExceeded:
+            return False
+        return True
+
+    lo, hi = 0, 1
+    while not ok(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(params.flatmap(lambda p: st.tuples(st.just(p), spliced_words(p))))
+def test_bit_cap_contract(pw):
+    # Deferred carries may meet the cap at another intermediate than the
+    # eager scan, but within 1 + bit_length(L) bits of it, where L counts the
+    # scan's steps (one per a-syllable, |e| per t^e).
+    p, w = pw
+    want = eager_normalize(p, w)
+    least = _least_cap(lambda cap: normalize(p, w, cap))
+    assert normalize(p, w, least) == want
+    steps = sum(1 if g == "a" else abs(e) for g, e in w.syllables)
+    oracle_least = _least_cap(lambda cap: eager_normalize(p, w, cap))
+    assert least <= oracle_least + 1 + steps.bit_length()
+
+
+@pytest.mark.parametrize(
+    "m, n, text, bits",
+    [
+        # the carry 4 * 2^20 waits in the (t a) entry; only 2^20 reaches r0
+        (1, 4, "t a T a^1048576 T", 23),
+        # the final pass doubles a^2 through 40 T entries, then halves it back
+        (2, 4, "(t a)^40 T^40 a^2", 42),
+        # the final pass carries 2^40 into r0
+        (1, 2, "T^40 a", 41),
+    ],
+)
+def test_bit_cap_sees_every_intermediate(m, n, text, bits):
+    p, w = BSParams(m, n), parse_word(text)
+    assert normalize(p, w, bits) == eager_normalize(p, w)
+    with pytest.raises(ExponentCapExceeded):
+        normalize(p, w, bits - 1)
+
+
+def test_scan_work_is_linear(monkeypatch):
+    calls = 0
+    divmod_ = britton.euclid_divmod
+
+    def counting(e, d):
+        nonlocal calls
+        calls += 1
+        return divmod_(e, d)
+
+    monkeypatch.setattr(britton, "euclid_divmod", counting)
+    p = BSParams(2, 3)
+    rng = random.Random(9)
+    factors = []
+    for _ in range(10):
+        f = [("a", rng.choice((-2, -1, 1, 2))), ("t", rng.choice((-1, 1)))]
+        factors.append(Word.from_pairs(f if rng.random() < 0.5 else f[::-1]))
+    w = factors[0]
+    for f in factors[1:]:
+        w = commutator(w, f)  # depth 9, as in the towers benchmark
+    nf = normalize(p, w)
+    # the eager scan makes about 70 000 calls here, for about 1 200 t-syllables
+    assert calls <= 4 * (len(w.syllables) + len(nf.tail))
+    assert nf == eager_normalize(p, w)
+
+    for w, tail in (
+        (Word((("t", 10**6),)), ((1, 0),) * 10**6),
+        (Word((("t", 1), ("a", 7), ("t", -(10**6)))), ((1, 1),) + ((-1, 0),) * 10**6),
+    ):
+        calls = 0
+        nf = normalize(p, w)
+        assert calls <= 10
+        assert nf.tail == tail

@@ -1,10 +1,11 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsgroups.affine import affine_group, to_affine
+from bsgroups.affine import ZnElement, affine_group, to_affine
 from bsgroups.britton import BSParams, bs_group, normalize
 from bsgroups.errors import ExponentCapExceeded, ParseError, WordSizeExceeded
 from bsgroups.finquot import build_semidirect, build_wreath
@@ -25,6 +26,7 @@ from bsgroups.words import (
     parse_word,
     pretty_print,
     power,
+    decimal,
 )
 
 word_pairs = st.lists(
@@ -81,7 +83,8 @@ def test_parse_structure():
 
 
 def test_parse_errors_carry_position():
-    for bad in ["a^", "[a t", "b", "(a", "a^x", "]"]:
+    # "²" and "٣" pass str.isdigit, but exponents are ASCII digits only
+    for bad in ["a^", "[a t", "b", "(a", "a^x", "]", "a^²", "a^٣"]:
         with pytest.raises(ParseError) as exc:
             parse_expr(bad)
         assert exc.value.position >= 0
@@ -255,3 +258,69 @@ def test_britton_products_are_size_capped(monkeypatch):
     assert len(evaluate(G, parse_expr("[a, t]^100")).tail) == 200
     with pytest.raises(WordSizeExceeded):
         evaluate(G, parse_expr("[a, t]^1000000000"))
+    # the limit holds for the result, not for the operands
+    x = normalize(BSParams(2, 3), parse_word("t^600 a"))
+    assert G.mul(x, G.inv(x)).is_identity
+    # a t-run is pushed whole, so its length is checked before the push
+    assert len(normalize(BSParams(2, 3), parse_word("a t^999")).tail) == 999
+    with pytest.raises(WordSizeExceeded):
+        normalize(BSParams(2, 3), parse_word("a t^999 a t^2"))
+    with pytest.raises(WordSizeExceeded):
+        normalize(BSParams(2, 3), parse_word("t^1000000000000"))
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default int <-> str digit limit for the test, where it has one."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield None
+        return
+    saved = get()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+def test_huge_exponents_parse_and_print_outside_the_cli(digit_limit):
+    # 4516 and 5000 digits: past the default limit
+    assert str(normalize(BSParams(1, 2), parse_word("t^-15000 a t^15000"))) == f"a^{decimal(2**15000)}"
+    w = parse_word("a^" + "9" * 5000)
+    assert w.syllables == (("a", 10**5000 - 1),)
+    assert str(w) == "a^" + "9" * 5000
+    assert str(ZnElement(-(10**5000), 3)) == "-1" + "0" * 5000 + "/n^3"
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == digit_limit
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 30000), st.integers(0, 2**64), st.booleans())
+def test_decimal_matches_builtin_conversion(bits, low, negative):
+    x = ((1 << bits) + low) * (-1 if negative else 1)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = str(x)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert decimal(x) == text
+    assert decimal(text) == x
+    assert decimal(text.replace("-", "-000") if negative else "000" + text) == x
+
+
+def test_oversized_integer_literal_is_refused_before_conversion():
+    # 3 * (D - 1) < bits of a D-digit number: the boundary cases stay exact
+    for digits in ("9" * 4, "1000", "0009999", "9" * 12):
+        for cap in range(1, 45):
+            fits = int(digits).bit_length() <= cap
+            try:
+                parse_word("a^" + digits, cap)
+            except ExponentCapExceeded:
+                assert not fits
+            else:
+                assert fits
+    # the digit count refuses it (a lower bound on the bits), not int()
+    with pytest.raises(ExponentCapExceeded) as exc:
+        parse_word("a^" + "9" * 2_000_000)
+    assert exc.value.bits == 3 * (2_000_000 - 1) + 1

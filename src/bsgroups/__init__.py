@@ -7,166 +7,79 @@ does arithmetic in the free-product quotient Z * Z_d with its free
 commutator basis, certifies non-membership in lower central series terms
 by finite nilpotent quotients, classifies residual properties of every
 BS(m,n), and constructs britton-verified commutator witnesses.
+
+The public names below are loaded on first use (PEP 562), so ``import
+bsgroups`` is cheap and a program pays only for the modules it touches.
 """
 
-from .affine import (
-    AffineElem,
-    Weight,
-    ZnElement,
-    affine_group,
-    canonical_word,
-    gamma_quot_image,
-    lcs_weight,
-    to_affine,
-    zn_add,
-    zn_canon,
-)
-from .britton import (
-    AbImage,
-    BrittonNF,
-    BSParams,
-    abelianize,
-    bs_group,
-    nf_equal,
-    nf_invert,
-    nf_multiply,
-    normalize,
-)
-from .classify import (
-    ChainReport,
-    ClassReport,
-    canonical_form,
-    classify,
-    free_subgroup_probe,
-    prop5_chain,
-    r_generators,
-)
-from .errors import (
-    BsError,
-    DomainError,
-    ExponentCapExceeded,
-    ParseError,
-    VerificationError,
-    WordSizeExceeded,
-)
-from .finquot import (
-    Certificate,
-    GammaChain,
-    SearchBudget,
-    Semidirect,
-    Wreath,
-    build_semidirect,
-    build_wreath,
-    certify_not_in_gamma,
-    fq_eval,
-    fq_gamma_series,
-    quotient_family,
-)
-from .freeprod import (
-    BasisWord,
-    CentralSplit,
-    FreeProdWord,
-    fp_normalize,
-    fp_rewrite_basis,
-    lift_basis,
-    split_central,
-)
-from .witness import (
-    MembershipWitness,
-    OmegaStabilityReport,
-    gamma_membership_witness,
-    lemma2_witness,
-    omega_stability_check,
-)
-from .words import (
-    Commutator,
-    Conjugate,
-    Gen,
-    Group,
-    Power,
-    Product,
-    Word,
-    eval_expr,
-    evaluate,
-    exp_sums,
-    gamma_weight_lower_bound,
-    parse_expr,
-    parse_word,
-    power,
-    pretty_print,
-)
+import importlib
+import sys
+
+# ``classify`` is also a submodule name.  Importing a submodule sets the
+# package attribute of that name to the module, but only when the submodule
+# is first loaded; binding the function here, after that load, keeps
+# ``bsgroups.classify`` the function whatever is imported later.
+from .classify import classify
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbImage",
-    "AffineElem",
-    "BasisWord",
-    "BrittonNF",
-    "BSParams",
-    "BsError",
-    "Certificate",
-    "ChainReport",
-    "ClassReport",
-    "CentralSplit",
-    "Commutator",
-    "Conjugate",
-    "DomainError",
-    "ExponentCapExceeded",
-    "FreeProdWord",
-    "GammaChain",
-    "Gen",
-    "Group",
-    "MembershipWitness",
-    "OmegaStabilityReport",
-    "ParseError",
-    "Power",
-    "Product",
-    "SearchBudget",
-    "Semidirect",
-    "VerificationError",
-    "Weight",
-    "Word",
-    "WordSizeExceeded",
-    "Wreath",
-    "ZnElement",
-    "abelianize",
-    "affine_group",
-    "bs_group",
-    "build_semidirect",
-    "build_wreath",
-    "canonical_form",
-    "canonical_word",
-    "certify_not_in_gamma",
-    "classify",
-    "eval_expr",
-    "evaluate",
-    "exp_sums",
-    "fp_normalize",
-    "fp_rewrite_basis",
-    "fq_eval",
-    "fq_gamma_series",
-    "free_subgroup_probe",
-    "gamma_membership_witness",
-    "gamma_quot_image",
-    "gamma_weight_lower_bound",
-    "lcs_weight",
-    "lemma2_witness",
-    "lift_basis",
-    "nf_equal",
-    "nf_invert",
-    "nf_multiply",
-    "normalize",
-    "omega_stability_check",
-    "parse_expr",
-    "parse_word",
-    "power",
-    "pretty_print",
-    "prop5_chain",
-    "quotient_family",
-    "r_generators",
-    "split_central",
-    "to_affine",
-    "zn_add",
-    "zn_canon",
-]
+_EXPORTS = {
+    "affine": (
+        "AffineElem", "Weight", "ZnElement", "affine_group", "canonical_word",
+        "gamma_quot_image", "lcs_weight", "to_affine", "zn_add", "zn_canon",
+    ),
+    "britton": (
+        "AbImage", "BrittonNF", "BSParams", "abelianize", "bs_group", "nf_equal",
+        "nf_invert", "nf_multiply", "normalize",
+    ),
+    "classify": ("ChainReport", "ClassReport", "canonical_form", "classify", "prop5_chain"),
+    "errors": (
+        "BsError", "DomainError", "ExponentCapExceeded", "ParseError", "VerificationError",
+        "WordSizeExceeded",
+    ),
+    "finquot": (
+        "Certificate", "GammaChain", "SearchBudget", "Semidirect", "Wreath",
+        "build_semidirect", "build_wreath", "certify_not_in_gamma", "fq_eval",
+        "fq_gamma_series", "quotient_family",
+    ),
+    "freeprod": (
+        "BasisWord", "CentralSplit", "FreeProdWord", "fp_normalize", "fp_rewrite_basis",
+        "free_subgroup_probe", "lift_basis", "r_generators", "split_central",
+    ),
+    "witness": (
+        "MembershipWitness", "OmegaStabilityReport", "gamma_membership_witness",
+        "lemma2_witness", "omega_stability_check",
+    ),
+    "words": (
+        "Commutator", "Conjugate", "Gen", "Group", "Power", "Product", "Word", "eval_expr",
+        "evaluate", "exp_sums", "gamma_weight_lower_bound", "parse_expr", "parse_word",
+        "power", "pretty_print",
+    ),
+}
+_HOME = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # Not cached in the package namespace: every lookup reads the defining
+    # module, so a name rebound there (a tracer, a mock) is seen here too.
+    # sys.modules first: import_module takes the module's import lock even
+    # when it is loaded, which costs several times the lookup itself.
+    home = _HOME.get(name)
+    if home is not None:
+        try:
+            return getattr(sys.modules[home], name)
+        except (KeyError, AttributeError):  # not loaded, or still loading
+            return getattr(importlib.import_module(home), name)
+    if not name.startswith("__"):
+        try:
+            return importlib.import_module(f"{__name__}.{name}")
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -4,6 +4,9 @@ Every handler returns a pair (text, data); ``run`` prints the text, or the
 data as JSON under ``--json``, to stdout or to ``--out``.
 
 Exit codes: 0 success, 1 domain/computation error, 2 usage error.
+
+Each handler imports the modules it uses, so a ``bs`` process loads only
+what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -12,20 +15,7 @@ import argparse
 import json
 import sys
 
-from .affine import affine_group, gamma_quot_image, lcs_weight
-from .britton import BSParams, bs_group
-from .classify import classify, free_subgroup_probe, prop5_chain, r_generators
 from .errors import BsError
-from .finquot import (
-    SearchBudget,
-    build_semidirect,
-    build_wreath,
-    bs_relation_holds,
-    certify_not_in_gamma,
-    fq_gamma_series,
-)
-from .witness import gamma_membership_witness, lemma2_witness, omega_stability_check
-from .words import Word, evaluate, parse_expr, parse_word
 
 SWEEP_COLUMNS = [
     "m", "n", "canonical_m", "canonical_n", "ab", "rf", "rp_primes", "rn", "rtfn",
@@ -38,6 +28,9 @@ def _bool(v: bool) -> str:
 
 
 def _cmd_normalize(args):
+    from .britton import BSParams, bs_group
+    from .words import evaluate, parse_expr
+
     G = bs_group(BSParams(args.m, args.n), args.max_bits)
     nf = evaluate(G, parse_expr(args.word, args.max_bits))
     text = str(nf)
@@ -52,6 +45,9 @@ def _cmd_normalize(args):
 
 
 def _cmd_eq(args):
+    from .britton import BSParams, bs_group
+    from .words import evaluate, parse_expr
+
     G = bs_group(BSParams(args.m, args.n), args.max_bits)
     u = evaluate(G, parse_expr(args.word1, args.max_bits))
     equal = u == evaluate(G, parse_expr(args.word2, args.max_bits))
@@ -59,18 +55,26 @@ def _cmd_eq(args):
 
 
 def _cmd_weight(args):
+    from .affine import affine_group, lcs_weight
+    from .words import evaluate, parse_expr
+
     g = evaluate(affine_group(args.n, args.max_bits), parse_expr(args.word, args.max_bits))
     w = lcs_weight(args.n, g)
     return str(w), {"n": args.n, "weight": "omega" if w.is_omega else w.index}
 
 
 def _cmd_quot_image(args):
+    from .affine import affine_group, gamma_quot_image
+    from .words import evaluate, parse_expr
+
     g = evaluate(affine_group(args.n, args.max_bits), parse_expr(args.word, args.max_bits))
     r = gamma_quot_image(args.n, args.i, g)
     return str(r), {"n": args.n, "i": args.i, "modulus": abs(args.n - 1), "image": r}
 
 
 def _sweep_row(rep) -> list[str]:
+    from .classify import prop5_chain
+
     return [
         str(rep.m),
         str(rep.n),
@@ -88,6 +92,8 @@ def _sweep_row(rep) -> list[str]:
 
 
 def _cmd_classify(args):
+    from .classify import classify
+
     rep = classify(args.m, args.n)
     if args.csv:
         text = ",".join(SWEEP_COLUMNS) + "\n" + ",".join(_sweep_row(rep))
@@ -110,6 +116,8 @@ def _cmd_classify(args):
 
 
 def _cmd_chain(args):
+    from .classify import prop5_chain
+
     rep = prop5_chain(args.m, args.n)
     lines = [f"BS({rep.m},{rep.n}) case {rep.case}", "chain: " + " >= ".join(rep.chain)]
     lines += [f"{q} = {v}" for q, v in rep.quotients]
@@ -127,10 +135,17 @@ def _witness(w):
 
 
 def _cmd_lemma2(args):
+    from .britton import BSParams
+    from .witness import lemma2_witness
+
     return _witness(lemma2_witness(BSParams(args.m, args.n), args.i, args.max_bits))
 
 
 def _cmd_member(args):
+    from .britton import BSParams
+    from .witness import gamma_membership_witness
+    from .words import Word, parse_word
+
     p = BSParams(args.m, args.n)
     if args.target:
         target = parse_word(args.target, args.max_bits)
@@ -140,6 +155,9 @@ def _cmd_member(args):
 
 
 def _cmd_omega(args):
+    from .britton import BSParams
+    from .witness import omega_stability_check
+
     rep = omega_stability_check(BSParams(args.m, args.n), args.max_bits)
     text = (
         f"BS({rep.m},{rep.n}): {rep.identity}; "
@@ -149,11 +167,17 @@ def _cmd_omega(args):
 
 
 def _cmd_rgen(args):
+    from .britton import BSParams
+    from .freeprod import r_generators
+
     gens = [str(g) for g in r_generators(BSParams(args.m, args.n), args.K)]
     return "\n".join(gens), {"m": args.m, "n": args.n, "K": args.K, "generators": gens}
 
 
 def _cmd_fsub_probe(args):
+    from .britton import BSParams
+    from .freeprod import free_subgroup_probe
+
     p = BSParams(args.m, args.n)
     rep = free_subgroup_probe(p, args.K, args.trials, args.max_len, args.seed)
     text = (
@@ -165,6 +189,8 @@ def _cmd_fsub_probe(args):
 
 
 def _cmd_oracle_build(args):
+    from .finquot import build_semidirect, build_wreath, bs_relation_holds, fq_gamma_series
+
     if args.family == "wreath":
         q = build_wreath(args.p, args.k, args.j)
     else:
@@ -189,6 +215,9 @@ def _cmd_oracle_build(args):
 
 
 def _cmd_oracle_certify(args):
+    from .finquot import SearchBudget, certify_not_in_gamma
+    from .words import parse_word
+
     word = parse_word(args.word, args.max_bits)
     budget = SearchBudget(k_max=args.k, j_max=args.j)
     cert = certify_not_in_gamma(args.m, args.n, word, args.i, budget)
@@ -201,6 +230,8 @@ def _cmd_oracle_certify(args):
 
 
 def _cmd_sweep(args):
+    from .classify import classify
+
     rows = [
         _sweep_row(classify(m, n))
         for m in range(1, args.m_max + 1)

@@ -19,15 +19,20 @@ part: gamma_2(BS(m, m)) maps isomorphically onto the Cartesian subgroup,
 while gamma_2(BS(m, -m)) = <a^(2m)> x (that free group).  split_central
 recovers the central exponent and the free coordinates, verifying the
 reassembly through Britton normal forms.
+
+r_generators lists the commutators [t^k a^d t^-k, a] that generate the
+relator subgroup, and free_subgroup_probe samples reduced words in the basis
+[t^k, a^s] and checks that their images in Z * Z_d stay nontrivial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from random import Random
 
 from .britton import BSParams, abelianize, nf_equal, normalize
 from .errors import DomainError, VerificationError
-from .words import Word, _reduce_pairs
+from .words import Commutator, Conjugate, Gen, Power, Word, _reduce_pairs, eval_expr
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,3 +171,92 @@ def split_central(p: BSParams, w: Word, max_bits: int | None = None) -> CentralS
     if not nf_equal(p, recombined, w, max_bits):
         raise VerificationError("reassembly a^(2mc) * lift(basis) does not reproduce the input")
     return CentralSplit(c, basis)
+
+
+def r_generators(p: BSParams, K: int) -> list[Word]:
+    """The commutators [t^k a^d t^-k, a] for |k| <= K, freely reduced."""
+    if K < 0:
+        raise DomainError("K must be >= 0")
+    a, t = Gen("a"), Gen("t")
+    conjugates = (Conjugate(Power(a, p.d), Power(t, -k)) for k in range(-K, K + 1))
+    return [eval_expr(Commutator(x, a)) for x in conjugates]
+
+
+@dataclass(frozen=True)
+class ProbeReport:
+    d: int
+    K: int
+    trials: int
+    max_len: int
+    checked: int
+    nontrivial: int
+    skipped_empty: int
+    failures: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def to_json_dict(self) -> dict:
+        return {
+            "d": self.d,
+            "K": self.K,
+            "trials": self.trials,
+            "max_len": self.max_len,
+            "checked": self.checked,
+            "nontrivial": self.nontrivial,
+            "skipped_empty": self.skipped_empty,
+            "failures": list(self.failures),
+            "ok": self.ok,
+        }
+
+
+def free_subgroup_probe(
+    p: BSParams,
+    K: int = 3,
+    trials: int = 100,
+    max_len: int = 6,
+    seed: int | None = None,
+) -> ProbeReport:
+    """Random reduced words in the commutators [t^k, a^s] stay nontrivial.
+
+    Evidence for freeness of the subgroup they generate in Z_d * Z: each
+    sampled word is lifted to the generators and its image under killing
+    a^d is checked to be a nonidentity element of the free product.
+    """
+    d = p.d
+    if d < 2:
+        raise DomainError("free subgroup probe needs gcd(|m|, |n|) >= 2")
+    if K < 1:
+        raise DomainError("K must be >= 1")
+    rng = Random(seed)
+    letters = [
+        (k, s)
+        for k in range(-K, K + 1)
+        if k != 0
+        for s in range(1, d)
+    ]
+    checked = nontrivial = skipped = 0
+    failures: list[str] = []
+    for _ in range(trials):
+        length = rng.randint(0, max_len)
+        if length == 0:
+            skipped += 1
+            continue
+        tokens: list[tuple[int, int, int]] = []
+        while len(tokens) < length:
+            k, s = rng.choice(letters)
+            sign = rng.choice((1, -1))
+            if tokens and tokens[-1] == (k, s, -sign):
+                continue  # keep the word reduced
+            tokens.append((k, s, sign))
+        bw = BasisWord(d, tuple(tokens))
+        checked += 1
+        image = fp_normalize(d, lift_basis(p, bw))
+        if image.is_identity:
+            failures.append(str(bw))
+        else:
+            nontrivial += 1
+    return ProbeReport(
+        d, K, trials, max_len, checked, nontrivial, skipped, tuple(failures)
+    )

@@ -24,6 +24,7 @@ variable.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
@@ -42,6 +43,10 @@ _MAX_SYLLABLES = 2_000_000
 # pretty_print recurse once or a few times per level, so this keeps them
 # well inside Python's default recursion limit.
 MAX_NESTING = 200
+
+# ASCII digits only: str.isdigit and \d also accept digits such as "²" and
+# "٣", which are not part of the grammar.
+_DIGITS = re.compile("[0-9]+")
 
 
 def resolve_max_bits(value: int | None = None) -> int:
@@ -166,30 +171,65 @@ def exp_sums(w: Word) -> ExpSums:
 # Commutator expressions
 
 
-@dataclass(frozen=True, slots=True)
-class Gen:
+class _Node:
+    """Base of the expression nodes: == and hash walk the tree with a stack.
+
+    The generated dataclass methods recurse through several frames per
+    level, so a tree MAX_NESTING levels deep, such as a depth-200 witness,
+    can overflow the default recursion limit.
+    """
+
+    __slots__ = ()
+
+    def _flat(self) -> list:
+        # Each node type has a fixed field list and a factor tuple is preceded
+        # by its length, so the sequence determines the tree.
+        out, stack = [], [self]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, _Node):
+                out.append(type(x))
+                stack.extend(getattr(x, f) for f in x.__slots__)
+            elif isinstance(x, tuple):
+                out.append(len(x))
+                stack.extend(x)
+            else:
+                out.append(x)
+        return out
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._flat() == other._flat()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._flat()))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Gen(_Node):
     name: str  # "a" or "t"
 
 
-@dataclass(frozen=True, slots=True)
-class Power:
+@dataclass(frozen=True, slots=True, eq=False)
+class Power(_Node):
     base: "CommExpr"
     exp: int
 
 
-@dataclass(frozen=True, slots=True)
-class Product:
+@dataclass(frozen=True, slots=True, eq=False)
+class Product(_Node):
     factors: tuple["CommExpr", ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Commutator:
+@dataclass(frozen=True, slots=True, eq=False)
+class Commutator(_Node):
     left: "CommExpr"
     right: "CommExpr"
 
 
-@dataclass(frozen=True, slots=True)
-class Conjugate:
+@dataclass(frozen=True, slots=True, eq=False)
+class Conjugate(_Node):
     inner: "CommExpr"
     by: "CommExpr"
 
@@ -269,18 +309,21 @@ class _Parser:
     def parse_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
+        if self.text.startswith("-", start):
             self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        if self.pos == digits:
+        run = _DIGITS.match(self.text, self.pos)
+        if run is None:
             raise self.error("expected an integer")
+        digits, self.pos = self.pos, run.end()
+        # Leading zeros are dropped before converting: decimal() of a long
+        # zero run would still build powers of ten as long as the run.
+        body = self.text[digits : self.pos].lstrip("0") or "0"
         # D digits make more than 3(D - 1) bits: refuse before converting
-        bits = 3 * (len(self.text[digits : self.pos].lstrip("0")) - 1) + 1
+        bits = 3 * (len(body) - 1) + 1
         if bits > self.cap:
             raise ExponentCapExceeded(bits, self.cap)
-        return _check_cap(decimal(self.text[start : self.pos]), self.cap)
+        value = _check_cap(decimal(body), self.cap)
+        return -value if digits > start else value
 
 
 def parse_expr(text: str, max_bits: int | None = None) -> CommExpr:

@@ -1,14 +1,9 @@
 import pytest
 
 from bsgroups.britton import BSParams
-from bsgroups.classify import (
-    canonical_form,
-    classify,
-    free_subgroup_probe,
-    prop5_chain,
-    r_generators,
-)
+from bsgroups.classify import canonical_form, classify, prop5_chain
 from bsgroups.errors import DomainError
+from bsgroups.freeprod import free_subgroup_probe, r_generators
 from bsgroups.words import parse_word
 
 GRID = [(m, n) for m in range(1, 9) for n in range(-8, 9) if n != 0]

@@ -41,8 +41,12 @@ def test_lemma2_examples():
 def test_lemma2_deep_witness():
     # the free word of W_25 would have about 2^26 letters
     assert lemma2_witness(BSParams(2, 5), 25).target == parse_word(f"a^{3**25}")
-    text = pretty_print(lemma2_witness(BSParams(2, 5), MAX_NESTING).expr)
+    deep = lemma2_witness(BSParams(2, 5), MAX_NESTING).expr
+    text = pretty_print(deep)
     assert pretty_print(parse_expr(text)) == text
+    # == and hash walk the tree without recursing
+    assert parse_expr(text) == deep and hash(parse_expr(text)) == hash(deep)
+    assert deep != lemma2_witness(BSParams(3, 5), MAX_NESTING).expr
     with pytest.raises(DomainError):
         lemma2_witness(BSParams(2, 5), MAX_NESTING + 1)
     with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +165,24 @@ def test_pretty_print_round_trip():
         assert _flatten(again) == _flatten(e)
 
 
+def test_expression_equality_is_structural():
+    # repr spells out the whole tree, so equal reprs are the reference
+    rng = random.Random(5)
+    a, t = Gen("a"), Gen("t")
+    exprs = [rand_expr(rng, 2) for _ in range(150)]
+    exprs += [Conjugate(x, y) for x, y in zip(exprs[:20], exprs[1:21])]
+    exprs += [
+        Power(Commutator(a, t), 2), Power(Conjugate(a, t), 2),
+        Product((Product((a, t)),)), Product((Product((a,)), t)),
+    ]
+    reprs = [repr(x) for x in exprs]
+    for x, rx in zip(exprs, reprs):
+        for y, ry in zip(exprs, reprs):
+            assert (x == y) == (rx == ry) and (x != y) == (rx != ry)
+            assert rx != ry or hash(x) == hash(y)
+    assert a != "a" and a == Gen("a")
+
+
 def test_commutator_exp_sums_vanish():
     rng = random.Random(3)
     for _ in range(30):
@@ -324,3 +343,14 @@ def test_oversized_integer_literal_is_refused_before_conversion():
     with pytest.raises(ExponentCapExceeded) as exc:
         parse_word("a^" + "9" * 2_000_000)
     assert exc.value.bits == 3 * (2_000_000 - 1) + 1
+    # the digit run is matched in one call, not walked a character at a time
+    start = time.perf_counter()
+    with pytest.raises(ExponentCapExceeded):
+        parse_word("a^" + "9" * 10**7)
+    assert time.perf_counter() - start < 1.0
+    # leading zeros are dropped before the conversion, which would otherwise
+    # build powers of ten as long as the zero run
+    start = time.perf_counter()
+    assert parse_word("a^-" + "0" * 10**7 + "5") == Word((("a", -5),))
+    assert time.perf_counter() - start < 1.0
+    assert parse_word("a^-0007 t^000") == Word((("a", -7),))

@@ -15,13 +15,22 @@ lower central series becomes visible: for n not in {0, 1, 2} the i-th term
 consists exactly of the translations by (n-1)^{i-1} Z[1/n], so the weight
 of an element is read off p-adic valuations of the numerator at the primes
 dividing n - 1.
+
+A word's translation part is b = sum of e * n^k over its a-syllables a^e,
+where k is the running value of -sigma_t.  to_affine first sums the
+exponents per level k with small-int adds, then evaluates sum c_k n^k by
+Horner over the distinct nonzero levels: one big-int multiply-add per level,
+not one per syllable.  Every power n^j is refused before it is formed once it
+alone reaches 2^(cap+1): no term of at most cap bits can then bring the
+result back under the cap, so the refusal is the cap check made early and no
+huge power is ever built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, ExponentCapExceeded
 from .intmath import prime_factors, valuation
 from .words import Group, Word, decimal, resolve_max_bits, _check_cap
 
@@ -40,7 +49,16 @@ class ZnElement:
 _ZERO = ZnElement(0, 0)
 
 
-def zn_canon(n: int, num: int, l: int) -> ZnElement:
+def _pow(n: int, j: int, cap: int) -> int:
+    """n^j for j >= 0, refused before it is formed when |n^j| >= 2^(cap+1)."""
+    # |n|^j has at least j * (bit_length(|n|) - 1) + 1 bits
+    bits = j * (abs(n).bit_length() - 1) + 1
+    if bits > cap + 1:
+        raise ExponentCapExceeded(bits, cap)
+    return n**j
+
+
+def zn_canon(n: int, num: int, l: int, cap: int | None = None) -> ZnElement:
     if num == 0:
         return _ZERO
     if n in (1, -1):
@@ -48,22 +66,31 @@ def zn_canon(n: int, num: int, l: int) -> ZnElement:
         if n == -1 and l % 2:
             num = -num
         return ZnElement(num, 0)
-    while l > 0 and num % n == 0:
-        num //= n
-        l -= 1
+    # divide out n^min(v_n(num), l) by the binary digits of the exponent,
+    # so a long run of factors n costs O(log l) divisions, not l
+    squares = []
+    p, j = n, 1
+    while j <= l and num % p == 0:
+        squares.append((p, j))
+        p, j = p * p, 2 * j
+    for p, j in reversed(squares):
+        if j <= l and num % p == 0:
+            num //= p
+            l -= j
     if l < 0:
-        num *= n ** (-l)
+        cap = resolve_max_bits(cap)
+        num = _check_cap(num * _pow(n, -l, cap), cap)
         l = 0
     return ZnElement(num, l)
 
 
 def zn_add(n: int, x: ZnElement, y: ZnElement, cap: int | None = None) -> ZnElement:
+    cap = resolve_max_bits(cap)
     if x.l < y.l:
         x, y = y, x
-    num = x.num + y.num * n ** (x.l - y.l)
-    if cap is not None:
-        _check_cap(num, cap)
-    return zn_canon(n, num, x.l)
+    num = x.num + (y.num * _pow(n, x.l - y.l, cap) if y.num else 0)
+    _check_cap(num, cap)
+    return zn_canon(n, num, x.l, cap)
 
 
 def zn_neg(x: ZnElement) -> ZnElement:
@@ -72,11 +99,9 @@ def zn_neg(x: ZnElement) -> ZnElement:
 
 def zn_scale_pow(n: int, x: ZnElement, k: int, cap: int | None = None) -> ZnElement:
     """Multiply by the unit n^k (k of either sign)."""
-    if x.num == 0:
-        return _ZERO
-    out = zn_canon(n, x.num, x.l - k)
-    if cap is not None:
-        _check_cap(out.num, cap)
+    cap = resolve_max_bits(cap)
+    out = zn_canon(n, x.num, x.l - k, cap)
+    _check_cap(out.num, cap)
     return out
 
 
@@ -119,14 +144,20 @@ def to_affine(n: int, w: Word, max_bits: int | None = None) -> AffineElem:
     if n == 0:
         raise DomainError("affine representation needs n != 0")
     cap = resolve_max_bits(max_bits)
+    coeffs: dict[int, int] = {}  # level k -> sum of the a-exponents read there
     k = 0
-    b = _ZERO
     for g, e in w.syllables:
         if g == "t":
             k -= e
         else:
-            b = zn_add(n, b, zn_scale_pow(n, ZnElement(e, 0), k, cap), cap)
-    return AffineElem(k, b)
+            coeffs[k] = coeffs.get(k, 0) + e
+    # Horner from the top level down: acc * n^level is the sum so far
+    acc = 0
+    level = 0
+    for l in sorted((l for l, c in coeffs.items() if c), reverse=True):
+        acc = _check_cap((acc * _pow(n, level - l, cap) if acc else 0) + coeffs[l], cap)
+        level = l
+    return AffineElem(k, zn_canon(n, acc, -level, cap))
 
 
 def affine_group(n: int, max_bits: int | None = None) -> Group:
@@ -146,7 +177,7 @@ def canonical_word(n: int, g: AffineElem, max_bits: int | None = None) -> Word:
         raise DomainError("affine representation needs n != 0")
     cap = resolve_max_bits(max_bits)
     k1 = max(0, -g.k, g.b.l)
-    l1 = _check_cap(g.b.num * n ** (k1 - g.b.l), cap)
+    l1 = _check_cap(g.b.num * _pow(n, k1 - g.b.l, cap) if g.b.num else 0, cap)
     r1 = k1 + g.k
     return Word.from_pairs([("t", k1), ("a", l1), ("t", -r1)])
 

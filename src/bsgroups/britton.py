@@ -20,7 +20,10 @@ addition is bit-capped.
 
 The scan is linear in syllables plus tail entries.  One stack holds (0, r0)
 and then the tail as (eps, r) tuples, and t^e is one step: canonicalize the
-top, pop while it is (-sign e, 0), push the rest of the run whole.  The top's
+top, pop while it is (-sign e, 0), push the rest of the run whole.  While
+the scan runs, the top lives in two locals and the list holds the entries
+below it, so an a-syllable is one int add and a bit-length check, and a
+t-syllable pushes the old top as one tuple.  The top's
 carry waits in the entry below; every entry below a low-water mark lo stays
 canonical.  A final top-down pass settles the deferred carries and stops at
 the first entry at or below lo that passes on no carry.  It meets no pinch: a
@@ -38,9 +41,10 @@ from dataclasses import dataclass, field
 from itertools import chain
 from math import gcd
 
-from .errors import DomainError
+from .errors import DomainError, ExponentCapExceeded
 from .intmath import euclid_divmod
 from .words import ExpSums, Group, Word, decimal, exp_sums, resolve_max_bits
+from . import words
 from .words import _check_cap, _check_size
 
 
@@ -113,27 +117,39 @@ def _settle(m: int, n: int, st: list, lo: int, cap: int) -> None:
 def _scan(m: int, n: int, st: list, lo: int, syllables, cap: int) -> None:
     """Read syllables onto the stack [(0, r0), (eps, r), ...], then settle it."""
     am, an = abs(m), abs(n)
+    # The top entry lives in (eps, r) and st holds the entries below it, so
+    # the full stack is st + [(eps, r)] and its length is len(st) + 1.
+    eps, r = st.pop()
+    limit = words._MAX_SYLLABLES
     for g, e in syllables:
         if g == "a":
-            st[-1] = (st[-1][0], _check_cap(st[-1][1] + e, cap))
+            r += e
+            if r.bit_length() > cap:
+                raise ExponentCapExceeded(r.bit_length(), cap)
             continue
         s, k = (1, e) if e > 0 else (-1, -e)
-        while len(st) > 1:
+        while st:
             # canonicalize the top only; its carry waits in the entry below
-            eps, rem = st[-1]
-            if not 0 <= rem < (am if eps < 0 else an):
-                rem, carry = _reduce(m, n, eps, rem)
-                st[-1] = (eps, rem)
-                st[-2] = (st[-2][0], _check_cap(st[-2][1] + carry, cap))
-                lo = min(lo, max(len(st) - 2, 1))  # st[0] is never settled
-            if not k or rem or eps != -s:
+            if not 0 <= r < (am if eps < 0 else an):
+                r, carry = _reduce(m, n, eps, r)
+                below = st[-1]
+                st[-1] = (below[0], _check_cap(below[1] + carry, cap))
+                lo = min(lo, max(len(st) - 1, 1))  # st[0] is never settled
+            if not k or r or eps != -s:
                 break
-            st.pop()
+            eps, r = st.pop()
             k -= 1
-        if lo >= len(st) - 1:  # a push onto a clean stack keeps it clean
-            lo = len(st) + k
-        _check_size(len(st) - 1 + k)  # bounds the tail before it is built
-        st.extend([(s, 0)] * k)
+        size = len(st) + k  # the tail's length after the push
+        if lo >= len(st):  # a push onto a clean stack keeps it clean
+            lo = size + 1
+        if size > limit:
+            _check_size(size)  # bounds the tail before it is built
+        if k:
+            st.append((eps, r))
+            if k > 1:
+                st.extend([(s, 0)] * (k - 1))
+            eps, r = s, 0
+    st.append((eps, r))
     _settle(m, n, st, lo, cap)
 
 

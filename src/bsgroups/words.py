@@ -47,6 +47,9 @@ MAX_NESTING = 200
 # ASCII digits only: str.isdigit and \d also accept digits such as "²" and
 # "٣", which are not part of the grammar.
 _DIGITS = re.compile("[0-9]+")
+# \s in a str pattern matches exactly the characters for which str.isspace()
+# is true.
+_SPACES = re.compile(r"\s+")
 
 
 def resolve_max_bits(value: int | None = None) -> int:
@@ -172,7 +175,7 @@ def exp_sums(w: Word) -> ExpSums:
 
 
 class _Node:
-    """Base of the expression nodes: == and hash walk the tree with a stack.
+    """Base of the expression nodes: ==, hash and repr walk the tree with a stack.
 
     The generated dataclass methods recurse through several frames per
     level, so a tree MAX_NESTING levels deep, such as a depth-200 witness,
@@ -205,30 +208,57 @@ class _Node:
     def __hash__(self) -> int:
         return hash(tuple(self._flat()))
 
+    def __repr__(self) -> str:
+        # The generated dataclass text, such as Power(base=Gen(name='a'),
+        # exp=-1), with ints through decimal().  A str on the stack is output
+        # as is; a value to render is boxed in a 1-tuple.
+        out, stack = [], [(self,)]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, str):
+                out.append(x)
+                continue
+            (v,) = x
+            if isinstance(v, _Node):
+                parts = [f"{type(v).__qualname__}("]
+                for i, f in enumerate(v.__slots__):
+                    parts += [f"{', ' if i else ''}{f}=", (getattr(v, f),)]
+                parts.append(")")
+            elif isinstance(v, tuple):
+                parts = ["("]
+                for i, y in enumerate(v):
+                    parts += [", " if i else "", (y,)]
+                parts.append(",)" if len(v) == 1 else ")")
+            else:
+                out.append(decimal(v) if type(v) is int else repr(v))
+                continue
+            stack.extend(reversed(parts))
+        return "".join(out)
 
-@dataclass(frozen=True, slots=True, eq=False)
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Gen(_Node):
     name: str  # "a" or "t"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Power(_Node):
     base: "CommExpr"
     exp: int
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Product(_Node):
     factors: tuple["CommExpr", ...]
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Commutator(_Node):
     left: "CommExpr"
     right: "CommExpr"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Conjugate(_Node):
     inner: "CommExpr"
     by: "CommExpr"
@@ -248,8 +278,10 @@ class _Parser:
         return ParseError(message, self.pos)
 
     def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        # one regex call per whitespace run; the common case, a token right
+        # at pos, costs a single character test
+        if self.text[self.pos : self.pos + 1].isspace():
+            self.pos = _SPACES.match(self.text, self.pos).end()
 
     def peek(self) -> str:
         self.skip_ws()

@@ -5,10 +5,12 @@ from __future__ import annotations
 import itertools
 import random
 
+from bsgroups.affine import AffineElem, ZnElement, zn_add, zn_scale_pow
 from bsgroups.britton import BrittonNF, BSParams
+from bsgroups.errors import DomainError, ExponentCapExceeded
 from bsgroups.finquot import FinQuot, Semidirect
 from bsgroups.intmath import euclid_divmod
-from bsgroups.words import Word, _check_cap
+from bsgroups.words import Word, _check_cap, resolve_max_bits
 
 
 def rand_word(rng: random.Random, max_syllables: int = 8, max_exp: int = 3) -> Word:
@@ -38,6 +40,25 @@ def insert_relator(rng: random.Random, p: BSParams, w: Word) -> Word:
 
 def commutator(u: Word, v: Word) -> Word:
     return u.inverse() * v.inverse() * u * v
+
+
+def least_cap(f) -> int:
+    """Smallest bit cap at which f(cap) raises no ExponentCapExceeded."""
+
+    def ok(cap):
+        try:
+            f(cap)
+        except ExponentCapExceeded:
+            return False
+        return True
+
+    lo, hi = 0, 1
+    while not ok(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi
 
 
 def rand_gamma2_word(rng: random.Random, p: BSParams, central: int = 0) -> Word:
@@ -199,3 +220,21 @@ def eager_normalize(p: BSParams, w: Word, max_bits: int = 1 << 40) -> BrittonNF:
 
 def eager_multiply(p: BSParams, x: BrittonNF, y: BrittonNF, max_bits: int = 1 << 40) -> BrittonNF:
     return _eager_scan(p, x.r0, [list(entry) for entry in x.tail], y.to_word(), max_bits)
+
+
+# The per-syllable fold that bsgroups.affine.to_affine replaced: three Z[1/n]
+# calls per a-syllable, each bit-capped.  The oracle for its per-level form.
+
+
+def syllable_fold_to_affine(n: int, w: Word, max_bits: int | None = None) -> AffineElem:
+    if n == 0:
+        raise DomainError("affine representation needs n != 0")
+    cap = resolve_max_bits(max_bits)
+    k = 0
+    b = ZnElement(0, 0)
+    for g, e in w.syllables:
+        if g == "t":
+            k -= e
+        else:
+            b = zn_add(n, b, zn_scale_pow(n, ZnElement(e, 0), k, cap), cap)
+    return AffineElem(k, b)

@@ -1,8 +1,12 @@
 import math
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bsgroups.affine as affine
 from bsgroups.affine import (
     IDENTITY,
     AffineElem,
@@ -19,10 +23,10 @@ from bsgroups.affine import (
     zn_divexact_int,
 )
 from bsgroups.britton import BSParams, nf_equal, normalize
-from bsgroups.errors import DomainError
-from bsgroups.words import parse_word
+from bsgroups.errors import DomainError, ExponentCapExceeded
+from bsgroups.words import Word, parse_word
 
-from helpers import commutator, insert_relator, rand_word
+from helpers import commutator, insert_relator, least_cap, rand_word, syllable_fold_to_affine
 
 N_SET = (-3, -2, -1, 2, 3, 4, 5)
 
@@ -173,3 +177,141 @@ def test_weight_agrees_with_britton_on_identity():
         u = w * w.inverse()
         assert normalize(p, u).is_identity
         assert lcs_weight(3, to_affine(3, u)).is_omega
+
+
+# The per-level Horner fold against the per-syllable fold it replaced
+# (tests/helpers.py).
+
+ns = st.integers(-6, 6).filter(bool)
+small_syllables = st.tuples(st.sampled_from("at"), st.integers(-3, 3).filter(bool))
+syllables = st.one_of(
+    small_syllables,
+    st.tuples(st.just("a"), st.integers(-10**6, 10**6).filter(bool)),
+    st.tuples(st.just("t"), st.integers(-1000, 1000).filter(bool)),
+)
+
+
+@st.composite
+def spliced_words(draw):
+    """n and random syllables with conjugates u^-1 R^+-1 u of BS(1, n)'s relator."""
+    n = draw(ns)
+    pairs = draw(st.lists(syllables, max_size=10))
+    for _ in range(draw(st.integers(0, 3))):
+        u = Word.from_pairs(draw(st.lists(syllables, max_size=3)))
+        rel = Word.from_pairs((("t", -1), ("a", 1), ("t", 1), ("a", -n)))
+        if draw(st.booleans()):
+            rel = rel.inverse()
+        cut = draw(st.integers(0, len(pairs)))
+        pairs[cut:cut] = (u.inverse() * rel * u).syllables
+    return n, Word.from_pairs(pairs)
+
+
+def _levels(w: Word) -> dict[int, int]:
+    """Sum of the a-exponents read at each level k = -sigma_t so far."""
+    k, coeffs = 0, {}
+    for g, e in w.syllables:
+        if g == "t":
+            k -= e
+        else:
+            coeffs[k] = coeffs.get(k, 0) + e
+    return coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(spliced_words())
+def test_level_fold_matches_syllable_fold(nw):
+    n, w = nw
+    try:
+        want = syllable_fold_to_affine(n, w)
+    except ExponentCapExceeded:
+        return
+    assert to_affine(n, w) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(spliced_words())
+def test_level_fold_bit_cap_contract(nw):
+    """The Horner sums are partial sums by level, not by word position, so
+    either fold can meet the cap first.  Each Horner sum at level l is at most
+    C |n|^(top - l), C the sum of |a-exponents|; the final numerator is formed
+    by both folds.  So the least cap exceeds the old fold's by no more than
+    bit_length(C) + span * bit_length(|n|), span the distance between the
+    highest and the lowest level with a nonzero exponent sum.
+    """
+    n, w = nw
+    least = least_cap(lambda cap: to_affine(n, w, cap))
+    assert to_affine(n, w, least) == syllable_fold_to_affine(n, w)
+    oracle_least = least_cap(lambda cap: syllable_fold_to_affine(n, w, cap))
+    levels = [l for l, c in _levels(w).items() if c]
+    span = max(levels) - min(levels) if levels else 0
+    c = sum(abs(e) for g, e in w.syllables if g == "a")
+    assert least <= max(oracle_least, c.bit_length() + span * abs(n).bit_length())
+
+
+def test_level_fold_work(monkeypatch):
+    calls = 0
+    check = affine._check_cap
+
+    def counting(x, cap):
+        nonlocal calls
+        calls += 1
+        return check(x, cap)
+
+    monkeypatch.setattr(affine, "_check_cap", counting)
+    text = "a"
+    for _ in range(14):
+        text = f"[{text}, t]"
+    w = parse_word(text)  # 32 769 syllables over 15 levels
+    for n in (-5, -1, 3, 6):
+        calls = 0
+        g = to_affine(n, w)
+        # the per-syllable fold makes two checks per a-syllable, about 32 000
+        assert calls <= len(_levels(w)) + 2
+        assert g == AffineElem(0, ZnElement((n - 1) ** 14, 0))
+
+
+def test_powers_are_refused_before_they_are_formed():
+    # n^(10^8) would take minutes to build; its size is known beforehand
+    for k in (10**7, 10**8):
+        start = time.perf_counter()
+        for text in (f"t^-{k} a t^{k}", f"t^-{k} [a, t] t^{k}"):
+            w = parse_word(text)
+            for n in (3, -2, 6):
+                with pytest.raises(ExponentCapExceeded):
+                    to_affine(n, w)
+        g = AffineElem(-k, ZnElement(1, 0))
+        with pytest.raises(ExponentCapExceeded):
+            canonical_word(3, g)
+        with pytest.raises(ExponentCapExceeded):
+            affine_compose(3, AffineElem(k, ZnElement(0, 0)), to_affine(3, parse_word("a")))
+        with pytest.raises(ExponentCapExceeded):
+            zn_add(3, ZnElement(1, k), ZnElement(1, 0))
+        with pytest.raises(ExponentCapExceeded):
+            zn_canon(3, 1, -k)
+        # a zero factor still answers, and so do the unit powers of n = +-1
+        assert canonical_word(3, AffineElem(-k, ZnElement(0, 0))) == Word((("t", k),))
+        assert zn_add(3, ZnElement(1, k), ZnElement(0, 0)) == ZnElement(1, k)
+        cancel = parse_word(f"t^-{k} a t^{k} a t^-{k} a^-1 t^{k}")
+        assert to_affine(3, cancel) == to_affine(3, parse_word("a"))
+        for n in (1, -1):
+            assert to_affine(n, parse_word(f"t^-{k} a^3 t^{k}")) == AffineElem(0, ZnElement(3 * n**k, 0))
+        assert time.perf_counter() - start < 1.0
+    # the refusal is the cap check made early: 2^20 fits in 21 bits
+    assert zn_canon(2, 1, -20, 21) == ZnElement(1 << 20, 0)
+    with pytest.raises(ExponentCapExceeded):
+        zn_canon(2, 1, -20, 20)
+    # the final numerator is checked against the cap passed in
+    w = parse_word("t^-40 a t^40")
+    assert to_affine(2, w, 41) == AffineElem(0, ZnElement(1 << 40, 0))
+    with pytest.raises(ExponentCapExceeded):
+        to_affine(2, w, 40)
+
+
+def test_canonical_factors_divide_out_quickly():
+    # 3^100000 / 3^100000: the factors of n leave in O(log l) divisions
+    w = Word((("t", 100_000), ("a", 3**100_000), ("t", -100_000)))
+    start = time.perf_counter()
+    assert to_affine(3, w) == AffineElem(0, ZnElement(1, 0))
+    assert time.perf_counter() - start < 1.0
+    assert zn_canon(3, 2 * 3**40, 50) == ZnElement(2, 10)
+    assert zn_canon(-2, 3 << 7, 5) == ZnElement(-12, 0)

@@ -19,7 +19,7 @@ from bsgroups.britton import (
 from bsgroups.errors import DomainError, ExponentCapExceeded
 from bsgroups.words import Word, parse_word
 
-from helpers import commutator, eager_multiply, eager_normalize, insert_relator, rand_word
+from helpers import commutator, eager_multiply, eager_normalize, insert_relator, least_cap, rand_word
 
 GRID = [BSParams(m, n) for m in (1, 2, 3) for n in (-3, -2, -1, 1, 2, 3) ]
 
@@ -207,25 +207,6 @@ def test_scan_matches_eager_oracle(pw, data):
     assert nf_multiply(p, x, nf) == eager_multiply(p, x, nf)
 
 
-def _least_cap(f) -> int:
-    """Smallest bit cap at which f(cap) raises no ExponentCapExceeded."""
-
-    def ok(cap):
-        try:
-            f(cap)
-        except ExponentCapExceeded:
-            return False
-        return True
-
-    lo, hi = 0, 1
-    while not ok(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
-    return hi
-
-
 @settings(max_examples=60, deadline=None)
 @given(params.flatmap(lambda p: st.tuples(st.just(p), spliced_words(p))))
 def test_bit_cap_contract(pw):
@@ -234,11 +215,25 @@ def test_bit_cap_contract(pw):
     # scan's steps (one per a-syllable, |e| per t^e).
     p, w = pw
     want = eager_normalize(p, w)
-    least = _least_cap(lambda cap: normalize(p, w, cap))
+    least = least_cap(lambda cap: normalize(p, w, cap))
     assert normalize(p, w, least) == want
     steps = sum(1 if g == "a" else abs(e) for g, e in w.syllables)
-    oracle_least = _least_cap(lambda cap: eager_normalize(p, w, cap))
+    oracle_least = least_cap(lambda cap: eager_normalize(p, w, cap))
     assert least <= oracle_least + 1 + steps.bit_length()
+
+
+def test_alternating_runs_match_eager_oracle():
+    # (t^+-1 a^r)^N keeps the top entry in locals through N pushes; residues
+    # outside [0, |m|) or [0, |n|) make every push carry into the entry below
+    for p in GRID + [BSParams(-2, 3), BSParams(4, -3)]:
+        for r in (-7, -1, 1, 2, 5):
+            for eps in (1, -1):
+                run = Word.from_pairs([("t", eps), ("a", r)] * 30)
+                back = Word.from_pairs([("t", -eps), ("a", -r)] * 20)
+                for w in (run, run * back, back * run, run * Word((("t", eps * 5),)) * back):
+                    nf = normalize(p, w)
+                    assert nf == eager_normalize(p, w) and nf_is_valid(p, nf)
+                    assert nf_multiply(p, nf, normalize(p, back)) == eager_normalize(p, w * back)
 
 
 @pytest.mark.parametrize(
@@ -250,6 +245,8 @@ def test_bit_cap_contract(pw):
         (2, 4, "(t a)^40 T^40 a^2", 42),
         # the final pass carries 2^40 into r0
         (1, 2, "T^40 a", 41),
+        # the top's sum is checked as it is read, before T reduces it to 2^18
+        (4, 1, "T a^1048576 T", 21),
     ],
 )
 def test_bit_cap_sees_every_intermediate(m, n, text, bits):

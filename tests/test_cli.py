@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,26 @@ def test_free_word_size_limit(capsys):
     code, _, err = _run(capsys, ["oracle", "certify", "-m", "2", "-n", "4", "-i", "3", tower])
     _assert_one_line_error(code, err)
     assert "syllables" in err
+
+
+def test_affine_powers_are_refused_before_they_are_formed(capsys):
+    # n^k for k = 10^7 or 10^8 has past 10^6 bits: refused by its size alone
+    for k in (10**7, 10**8):
+        for text in (f"t^-{k} a t^{k}", f"t^-{k} [a, t] t^{k}"):
+            for argv in (["weight", "-n", "3", text], ["quot-image", "-n", "3", "-i", "2", text]):
+                start = time.perf_counter()
+                code, _, err = _run(capsys, argv)
+                assert time.perf_counter() - start < 1.0
+                _assert_one_line_error(code, err)
+                assert "cap is 1000000" in err
+        # exponents that cancel within a level, and unit powers, still answer
+        for n, text, weight in (
+            ("3", f"t^-{k} a t^{k} a t^-{k} a^-1 t^{k}", "1"),
+            ("-1", f"t^-{k} [a, t] t^{k}", "2"),
+            ("1", f"t^-{k} [a, t] t^{k}", "omega"),
+        ):
+            code, out, _ = _run(capsys, ["weight", "-n", n, text])
+            assert code == 0 and out.splitlines()[0] == weight
 
 
 def test_classify_factors_large_n(capsys):

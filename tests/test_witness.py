@@ -46,6 +46,9 @@ def test_lemma2_deep_witness():
     assert pretty_print(parse_expr(text)) == text
     # == and hash walk the tree without recursing
     assert parse_expr(text) == deep and hash(parse_expr(text)) == hash(deep)
+    # and so does repr, whose text shows the whole tree
+    assert repr(parse_expr(text)) == repr(deep)
+    assert repr(deep).count("Commutator(left=") == MAX_NESTING
     assert deep != lemma2_witness(BSParams(3, 5), MAX_NESTING).expr
     with pytest.raises(DomainError):
         lemma2_witness(BSParams(2, 5), MAX_NESTING + 1)

@@ -176,6 +176,10 @@ def test_expression_equality_is_structural():
         Product((Product((a, t)),)), Product((Product((a,)), t)),
     ]
     reprs = [repr(x) for x in exprs]
+    # the same text as the generated dataclass __repr__
+    assert reprs[-4] == "Power(base=Commutator(left=Gen(name='a'), right=Gen(name='t')), exp=2)"
+    assert reprs[-1] == "Product(factors=(Product(factors=(Gen(name='a'),)), Gen(name='t')))"
+    assert repr(Product(())) == "Product(factors=())"
     for x, rx in zip(exprs, reprs):
         for y, ry in zip(exprs, reprs):
             assert (x == y) == (rx == ry) and (x != y) == (rx != ry)
@@ -307,6 +311,7 @@ def test_huge_exponents_parse_and_print_outside_the_cli(digit_limit):
     w = parse_word("a^" + "9" * 5000)
     assert w.syllables == (("a", 10**5000 - 1),)
     assert str(w) == "a^" + "9" * 5000
+    assert repr(parse_expr("a^" + "9" * 5000)) == f"Power(base=Gen(name='a'), exp={'9' * 5000})"
     assert str(ZnElement(-(10**5000), 3)) == "-1" + "0" * 5000 + "/n^3"
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == digit_limit
 
@@ -354,3 +359,15 @@ def test_oversized_integer_literal_is_refused_before_conversion():
     assert parse_word("a^-" + "0" * 10**7 + "5") == Word((("a", -5),))
     assert time.perf_counter() - start < 1.0
     assert parse_word("a^-0007 t^000") == Word((("a", -7),))
+
+
+def test_whitespace_runs_are_skipped_in_one_step():
+    # every character str.isspace() accepts separates tokens, non-ASCII too
+    assert parse_word("a\t\n\u00a0\u3000t ^ \x1c-2 ") == parse_word("a t^-2")
+    start = time.perf_counter()
+    assert parse_word("a" + " " * 10**7) == Word((("a", 1),))
+    assert parse_word("\n" * 10**7 + "t") == Word((("t", 1),))
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ParseError) as exc:
+        parse_word("a" + " " * 1000 + "b")
+    assert exc.value.position == 1001

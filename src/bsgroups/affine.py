@@ -54,7 +54,7 @@ def _pow(n: int, j: int, cap: int) -> int:
     # |n|^j has at least j * (bit_length(|n|) - 1) + 1 bits
     bits = j * (abs(n).bit_length() - 1) + 1
     if bits > cap + 1:
-        raise ExponentCapExceeded(bits, cap)
+        raise ExponentCapExceeded(bits, cap, at_least=True)
     return n**j
 
 

@@ -14,10 +14,15 @@ class ParseError(BsError):
 
 
 class ExponentCapExceeded(BsError):
-    """An integer grew past the configured bit cap during rewriting."""
+    """An integer grew past the configured bit cap during rewriting.
 
-    def __init__(self, bits: int, cap: int):
-        super().__init__(f"exponent needs {bits} bits, cap is {cap}")
+    at_least marks a refusal made from a size estimate before the integer was
+    formed: bits is then a lower bound on its size, not the size itself.
+    """
+
+    def __init__(self, bits: int, cap: int, at_least: bool = False):
+        need = f"at least {bits}" if at_least else f"{bits}"
+        super().__init__(f"exponent needs {need} bits, cap is {cap}")
         self.bits = bits
         self.cap = cap
 

@@ -12,7 +12,14 @@ Conventions used by the whole package:
         atom := "a" | "t" | "A" | "T" | "(" expr ")" | "[" expr "," expr "]"
         int  := "-"? digit+
 
-    brackets nest at most MAX_NESTING = 200 levels deep.
+    brackets nest at most MAX_NESTING = 200 levels deep.  The parser reads a
+    run of generator letters, with the power that may follow its last
+    letter, in one regex match, and gives every letter a shared node.
+
+An expression is evaluated in any Group: a run of generator powers goes to
+the group as one free word, and the values of a product's factors are
+multiplied in pairs, level by level, so no product copies a long prefix once
+per factor.
 
 All exponents are exact Python ints.  Rewriting elsewhere in the package can
 make exponents explode (conjugation by t^k scales a-exponents by n^k), so a
@@ -26,8 +33,6 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from functools import reduce
-from itertools import groupby
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, ExponentCapExceeded, ParseError, WordSizeExceeded
@@ -50,6 +55,10 @@ _DIGITS = re.compile("[0-9]+")
 # \s in a str pattern matches exactly the characters for which str.isspace()
 # is true.
 _SPACES = re.compile(r"\s+")
+# A run of generator letters after optional whitespace, with the "^ int" that
+# may follow it and binds to the last letter only.  An exponent without
+# digits leaves group 4 empty, and the parser reports it from the caret on.
+_RUN = re.compile(r"\s*([aAtT]+)(?:\s*(\^)\s*(-?)([0-9]+)?)?")
 
 
 def resolve_max_bits(value: int | None = None) -> int:
@@ -96,6 +105,19 @@ def _check_cap(x: int, cap: int) -> int:
     if x.bit_length() > cap:
         raise ExponentCapExceeded(x.bit_length(), cap)
     return x
+
+
+def _int_literal(sign: str, digits: str, cap: int) -> int:
+    """Value of an exponent literal: sign "" or "-", then ASCII digits."""
+    # Leading zeros are dropped before converting: decimal() of a long zero
+    # run would still build powers of ten as long as the run.
+    body = digits.lstrip("0") or "0"
+    # D digits make more than 3(D - 1) bits: refuse before converting
+    bits = 3 * (len(body) - 1) + 1
+    if bits > cap:
+        raise ExponentCapExceeded(bits, cap, at_least=True)
+    value = _check_cap(decimal(body), cap)
+    return -value if sign else value
 
 
 def _check_size(syllables: int) -> None:
@@ -266,6 +288,14 @@ class Conjugate(_Node):
 
 CommExpr = Gen | Power | Product | Commutator | Conjugate
 
+# The nodes of the four letters, shared by every parse: nodes are immutable.
+_LETTERS = {
+    "a": Gen("a"),
+    "t": Gen("t"),
+    "A": Power(Gen("a"), -1),
+    "T": Power(Gen("t"), -1),
+}
+
 
 class _Parser:
     def __init__(self, text: str, cap: int):
@@ -295,6 +325,20 @@ class _Parser:
     def parse_expr(self) -> CommExpr:
         terms = []
         while True:
+            run = _RUN.match(self.text, self.pos)
+            if run is not None:
+                letters, caret, sign, digits = run.groups()
+                terms.extend(map(_LETTERS.__getitem__, letters))
+                self.pos = run.end()
+                if caret is not None:
+                    if digits is None:
+                        # parse_int reports the missing digits, from the caret on
+                        self.pos = run.end(2)
+                        exp = self.parse_int()
+                    else:
+                        exp = _int_literal(sign, digits, self.cap)
+                    terms[-1] = Power(terms[-1], exp)
+                continue
             c = self.peek()
             if c == "" or c in ")],":
                 break
@@ -311,19 +355,8 @@ class _Parser:
         return atom
 
     def parse_atom(self) -> CommExpr:
+        # Generator letters never reach here: parse_expr reads them in runs.
         c = self.peek()
-        if c == "a":
-            self.pos += 1
-            return Gen("a")
-        if c == "t":
-            self.pos += 1
-            return Gen("t")
-        if c == "A":
-            self.pos += 1
-            return Power(Gen("a"), -1)
-        if c == "T":
-            self.pos += 1
-            return Power(Gen("t"), -1)
         if c in ("(", "["):
             if self.depth == MAX_NESTING:
                 raise self.error(f"brackets nested deeper than {MAX_NESTING}")
@@ -340,22 +373,13 @@ class _Parser:
 
     def parse_int(self) -> int:
         self.skip_ws()
-        start = self.pos
-        if self.text.startswith("-", start):
-            self.pos += 1
+        sign = "-" if self.text.startswith("-", self.pos) else ""
+        self.pos += len(sign)
         run = _DIGITS.match(self.text, self.pos)
         if run is None:
             raise self.error("expected an integer")
-        digits, self.pos = self.pos, run.end()
-        # Leading zeros are dropped before converting: decimal() of a long
-        # zero run would still build powers of ten as long as the run.
-        body = self.text[digits : self.pos].lstrip("0") or "0"
-        # D digits make more than 3(D - 1) bits: refuse before converting
-        bits = 3 * (len(body) - 1) + 1
-        if bits > self.cap:
-            raise ExponentCapExceeded(bits, self.cap)
-        value = _check_cap(decimal(body), self.cap)
-        return -value if digits > start else value
+        self.pos = run.end()
+        return _int_literal(sign, run.group(), self.cap)
 
 
 def parse_expr(text: str, max_bits: int | None = None) -> CommExpr:
@@ -445,25 +469,56 @@ def free_group(cap: int) -> Group:
 
 
 def _syllable(expr: CommExpr):
-    if isinstance(expr, Power) and isinstance(expr.base, Gen):
-        return expr.base.name, expr.exp
-    return (expr.name, 1) if isinstance(expr, Gen) else None
+    # A generator power: Gen, Power(Gen, k), or Power(Power(Gen, -1), k) as
+    # the parser reads A^k and T^k.  Deeper nesting stays a Power, so the
+    # exponents it multiplies are built by power() under the cap.
+    if isinstance(expr, Gen):
+        return expr.name, 1
+    if isinstance(expr, Power):
+        base = expr.base
+        if isinstance(base, Gen):
+            return base.name, expr.exp
+        if isinstance(base, Power) and base.exp == -1 and isinstance(base.base, Gen):
+            return base.base.name, -expr.exp
+    return None
+
+
+def _product(mul, values: list):
+    """values[0] * ... * values[-1], multiplied in pairs level by level.
+
+    Associativity alone keeps the value and the k - 1 calls to mul; each
+    value takes part in about log2(k) products, so building a long product
+    costs O(k log k) where a left fold, copying its accumulator, costs O(k^2).
+    """
+    while len(values) > 1:
+        paired = list(map(mul, values[0::2], values[1::2]))
+        if len(values) % 2:
+            paired.append(values[-1])
+        values = paired
+    return values[0]
 
 
 def evaluate(G: Group, expr: CommExpr):
     """Value of an expression in G, computed from the values of its parts.
 
     An i-fold commutator costs O(i) group operations, not its free word's
-    length.  A run of generator powers goes through G.word in one call.
+    length.  A run of generator powers goes through G.word in one call, and
+    the values of a product's factors are multiplied in pairs.
     """
     if isinstance(expr, Product):
-        values = []
-        for flat, run in groupby(expr.factors, lambda f: _syllable(f) is not None):
-            if flat:
-                values.append(G.word(Word.from_pairs(map(_syllable, run))))
-            else:
-                values.extend(evaluate(G, f) for f in run)
-        return reduce(G.mul, values) if values else G.identity
+        values, run = [], []
+        for f in expr.factors:
+            syllable = _syllable(f)
+            if syllable is not None:
+                run.append(syllable)
+                continue
+            if run:
+                values.append(G.word(Word.from_pairs(run)))
+                run = []
+            values.append(evaluate(G, f))
+        if run:
+            values.append(G.word(Word.from_pairs(run)))
+        return _product(G.mul, values) if values else G.identity
     syllable = _syllable(expr)
     if syllable is not None:
         return G.word(Word.from_pairs((syllable,)))

@@ -4,13 +4,24 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 from bsgroups.affine import AffineElem, ZnElement, zn_add, zn_scale_pow
 from bsgroups.britton import BrittonNF, BSParams
-from bsgroups.errors import DomainError, ExponentCapExceeded
+from bsgroups.errors import DomainError, ExponentCapExceeded, ParseError
 from bsgroups.finquot import FinQuot, Semidirect
 from bsgroups.intmath import euclid_divmod
-from bsgroups.words import Word, _check_cap, resolve_max_bits
+from bsgroups.words import (
+    MAX_NESTING,
+    Commutator,
+    Gen,
+    Power,
+    Product,
+    Word,
+    _check_cap,
+    decimal,
+    resolve_max_bits,
+)
 
 
 def rand_word(rng: random.Random, max_syllables: int = 8, max_exp: int = 3) -> Word:
@@ -238,3 +249,96 @@ def syllable_fold_to_affine(n: int, w: Word, max_bits: int | None = None) -> Aff
         else:
             b = zn_add(n, b, zn_scale_pow(n, ZnElement(e, 0), k, cap), cap)
     return AffineElem(k, b)
+
+
+# The expression parser that bsgroups.words.parse_expr replaced: a token at a
+# time, one call chain and one new node per letter.  The oracle for the
+# run-at-a-time parser: the same trees, errors, positions and cap refusals.
+
+_DIGITS = re.compile("[0-9]+")
+_SPACES = re.compile(r"\s+")
+
+
+class _ReferenceParser:
+    def __init__(self, text: str, cap: int):
+        self.text = text
+        self.pos = 0
+        self.cap = cap
+        self.depth = 0
+
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, self.pos)
+
+    def peek(self) -> str:
+        if self.text[self.pos : self.pos + 1].isspace():
+            self.pos = _SPACES.match(self.text, self.pos).end()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch: str) -> None:
+        if self.peek() != ch:
+            raise self.error(f"expected {ch!r}")
+        self.pos += 1
+
+    def parse_expr(self):
+        terms = []
+        while True:
+            c = self.peek()
+            if c == "" or c in ")],":
+                break
+            terms.append(self.parse_term())
+        if not terms:
+            raise self.error("empty expression")
+        return terms[0] if len(terms) == 1 else Product(tuple(terms))
+
+    def parse_term(self):
+        atom = self.parse_atom()
+        if self.peek() == "^":
+            self.pos += 1
+            return Power(atom, self.parse_int())
+        return atom
+
+    def parse_atom(self):
+        c = self.peek()
+        if c in ("a", "t"):
+            self.pos += 1
+            return Gen(c)
+        if c in ("A", "T"):
+            self.pos += 1
+            return Power(Gen(c.lower()), -1)
+        if c in ("(", "["):
+            if self.depth == MAX_NESTING:
+                raise self.error(f"brackets nested deeper than {MAX_NESTING}")
+            self.pos += 1
+            self.depth += 1
+            node = self.parse_expr()
+            if c == "[":
+                self.expect(",")
+                node = Commutator(node, self.parse_expr())
+            self.expect(")" if c == "(" else "]")
+            self.depth -= 1
+            return node
+        raise self.error(f"unexpected character {c!r}" if c else "unexpected end of input")
+
+    def parse_int(self) -> int:
+        self.peek()
+        start = self.pos
+        if self.text.startswith("-", start):
+            self.pos += 1
+        run = _DIGITS.match(self.text, self.pos)
+        if run is None:
+            raise self.error("expected an integer")
+        digits, self.pos = self.pos, run.end()
+        body = self.text[digits : self.pos].lstrip("0") or "0"
+        bits = 3 * (len(body) - 1) + 1
+        if bits > self.cap:
+            raise ExponentCapExceeded(bits, self.cap, at_least=True)
+        value = _check_cap(decimal(body), self.cap)
+        return -value if digits > start else value
+
+
+def reference_parse_expr(text: str, max_bits: int | None = None):
+    parser = _ReferenceParser(text, resolve_max_bits(max_bits))
+    expr = parser.parse_expr()
+    if parser.peek() != "":
+        raise parser.error("trailing input")
+    return expr

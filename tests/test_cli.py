@@ -275,7 +275,7 @@ def test_affine_powers_are_refused_before_they_are_formed(capsys):
                 code, _, err = _run(capsys, argv)
                 assert time.perf_counter() - start < 1.0
                 _assert_one_line_error(code, err)
-                assert "cap is 1000000" in err
+                assert "needs at least" in err and "cap is 1000000" in err
         # exponents that cancel within a level, and unit powers, still answer
         for n, text, weight in (
             ("3", f"t^-{k} a t^{k} a t^-{k} a^-1 t^{k}", "1"),
@@ -284,6 +284,9 @@ def test_affine_powers_are_refused_before_they_are_formed(capsys):
         ):
             code, out, _ = _run(capsys, ["weight", "-n", n, text])
             assert code == 0 and out.splitlines()[0] == weight
+    # the refusal names a lower bound: 3^(10^7) has 15,849,626 bits
+    _, _, err = _run(capsys, ["weight", "-n", "3", "t^-10000000 a t^10000000"])
+    assert err == "error: exponent needs at least 10000001 bits, cap is 1000000\n"
 
 
 def test_classify_factors_large_n(capsys):

@@ -1,6 +1,8 @@
+import math
 import random
 import sys
 import time
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from bsgroups.words import (
     Conjugate,
     ExpSums,
     Gen,
+    Group,
     Power,
     Product,
     Word,
@@ -29,6 +32,7 @@ from bsgroups.words import (
     power,
     decimal,
 )
+from helpers import reference_parse_expr
 
 word_pairs = st.lists(
     st.tuples(st.sampled_from("at"), st.integers(-4, 4).filter(lambda e: e != 0)),
@@ -81,6 +85,12 @@ def test_parse_structure():
     # uppercase shorthand for inverses
     assert eval_expr(parse_expr("A T")) == Word.from_pairs([("a", -1), ("t", -1)])
     assert parse_expr("ta") == Product((Gen("t"), Gen("a")))
+    # a trailing "^ int" binds to the last letter of a run only
+    a, t, A, T = Gen("a"), Gen("t"), Power(Gen("a"), -1), Power(Gen("t"), -1)
+    assert parse_expr("aT^2") == Product((a, Power(T, 2)))
+    assert parse_expr("ta^-3") == Product((t, Power(a, -3)))
+    assert parse_expr("AT ^ \t2") == Product((A, Power(T, 2)))
+    assert parse_expr("a^ -1") == Power(a, -1)
 
 
 def test_parse_errors_carry_position():
@@ -89,6 +99,11 @@ def test_parse_errors_carry_position():
         with pytest.raises(ParseError) as exc:
             parse_expr(bad)
         assert exc.value.position >= 0
+    # an exponent without digits is reported where its digits should start
+    for bad, position in [("a^- 1", 3), ("a^", 2), ("ta^x", 3), ("a t^ -", 6)]:
+        with pytest.raises(ParseError) as exc:
+            parse_expr(bad)
+        assert str(exc.value) == f"expected an integer (at position {position})"
 
 
 def test_nesting_limit():
@@ -348,6 +363,11 @@ def test_oversized_integer_literal_is_refused_before_conversion():
     with pytest.raises(ExponentCapExceeded) as exc:
         parse_word("a^" + "9" * 2_000_000)
     assert exc.value.bits == 3 * (2_000_000 - 1) + 1
+    assert str(exc.value) == "exponent needs at least 5999998 bits, cap is 1000000"
+    # past the estimate the value itself is measured, and its need is exact
+    with pytest.raises(ExponentCapExceeded) as exc:
+        parse_word("a^" + "9" * 12, 39)
+    assert str(exc.value) == "exponent needs 40 bits, cap is 39"
     # the digit run is matched in one call, not walked a character at a time
     start = time.perf_counter()
     with pytest.raises(ExponentCapExceeded):
@@ -371,3 +391,98 @@ def test_whitespace_runs_are_skipped_in_one_step():
     with pytest.raises(ParseError) as exc:
         parse_word("a" + " " * 1000 + "b")
     assert exc.value.position == 1001
+
+
+# Texts for the parser oracle.  Two kinds are lists of (atom, exponent,
+# separator) pieces: well formed ones, and ones with unbalanced brackets,
+# broken exponents and junk ("b", and "\u00b2", which str.isdigit accepts).
+# The third kind is any text over those characters.
+_ATOMS = ["a", "t", "A", "T", "aT", "tAt", "[a, t]", "(a T)", "[(tA)^2,a]"]
+_EXPONENTS = ["", "", "", "^2", "^-3", "^ 12", "^-0042", "^99999", "^ \t-7"]
+_SEPARATORS = ["", "", " ", "\t", "\n", "\u00a0", "\u3000"]
+_JUNK_ATOMS = ["(", ")", "[", "]", ",", "b", "\u00b2", "7"]
+_BROKEN_EXPONENTS = ["^", "^-", "^- 1", "^x"]
+
+
+def _pieces(atoms, exponents):
+    pieces = st.tuples(st.sampled_from(atoms), st.sampled_from(exponents), st.sampled_from(_SEPARATORS))
+    return st.lists(pieces, max_size=8).map(lambda ps: "".join(map("".join, ps)))
+
+
+_texts = st.one_of(
+    _pieces(_ATOMS, _EXPONENTS),
+    _pieces(_ATOMS + _JUNK_ATOMS, _EXPONENTS + _BROKEN_EXPONENTS),
+    st.text(alphabet="aAtT0123456789-^()[], \t\u00a0\u3000b\u00b2", max_size=40),
+)
+
+
+def _outcome(parse, text, cap):
+    try:
+        expr = parse(text, cap)
+    except ParseError as exc:
+        return "ParseError", str(exc), exc.position
+    except ExponentCapExceeded as exc:
+        return "ExponentCapExceeded", str(exc), exc.bits
+    return "tree", expr, repr(expr)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_texts, st.integers(1, 40))
+def test_parser_matches_reference_parser(text, cap):
+    # the same tree (== and repr), or the same error, message and position
+    assert _outcome(parse_expr, text, cap) == _outcome(reference_parse_expr, text, cap)
+
+
+_letter_exprs = st.sampled_from([Gen("a"), Gen("t"), Power(Gen("a"), -1), Power(Gen("t"), -1)])
+_exprs = st.recursive(
+    _letter_exprs,
+    lambda kids: st.one_of(
+        st.builds(Power, kids, st.integers(-3, 3)),
+        st.builds(lambda fs: Product(tuple(fs)), st.lists(kids, max_size=4)),
+        st.builds(Commutator, kids, kids),
+        st.builds(Conjugate, kids, kids),
+    ),
+    max_leaves=8,
+)
+_nonzero = st.integers(-5, 5).filter(bool)
+_groups = st.one_of(
+    st.just(free_group(10_000)),
+    st.builds(lambda m, n: bs_group(BSParams(m, n)), _nonzero, _nonzero),
+    st.builds(affine_group, _nonzero),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_groups, st.lists(_exprs, max_size=12))
+def test_product_in_pairs_matches_left_fold(G, factors):
+    values = [evaluate(G, f) for f in factors]
+    assert evaluate(G, Product(tuple(factors))) == reduce(G.mul, values, G.identity)
+
+
+def test_product_in_pairs_does_log_work_per_factor():
+    # Tuples under concatenation: the work of mul is the size of its operands.
+    k = 1000
+    work = []
+
+    def mul(x, y):
+        work.append(len(x) + len(y))
+        return x + y
+
+    G = Group((), lambda w: (w,), mul, lambda x: x[::-1])
+    at = Product((Gen("a"), Gen("t")))
+    # (a t) is no generator power, so each factor is a value of its own
+    assert evaluate(G, Product((at,) * k)) == (Word((("a", 1), ("t", 1))),) * k
+    assert len(work) == k - 1
+    assert sum(work) <= k * math.ceil(math.log2(k))
+
+
+def test_long_products_finish():
+    # A left fold copies its accumulator per factor, O(k^2): it takes over a
+    # minute on the first product and over a second on the second.
+    start = time.perf_counter()
+    nf = evaluate(bs_group(BSParams(2, 3)), parse_expr("[a,t] " * 10000))
+    assert nf == normalize(BSParams(2, 3), parse_word("[a,t] " * 10000))
+    # A^k and T^k are generator powers, so this is one run of 20,000 syllables
+    w = eval_expr(parse_expr("a^2 T^-3 " * 10000))
+    assert w.syllables == (("a", 2), ("t", 3)) * 10000
+    assert time.perf_counter() - start < 10.0

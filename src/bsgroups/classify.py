@@ -25,11 +25,29 @@ guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from math import gcd
 
 from .errors import DomainError
 from .intmath import prime_factors, prime_power
+
+
+def json_fields(x):
+    """x as JSON: a dataclass is an object of its fields in declaration order,
+    a tuple is an array, and anything else passes through."""
+    if is_dataclass(x):
+        return {f.name: json_fields(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, tuple):
+        return [json_fields(v) for v in x]
+    return x
+
+
+def _report_json(report) -> dict:
+    """A report's fields, with canonical spelled as canonical_m, canonical_n
+    right after m and n."""
+    data = json_fields(report)
+    m, n, (cm, cn) = data.pop("m"), data.pop("n"), data.pop("canonical")
+    return {"m": m, "n": n, "canonical_m": cm, "canonical_n": cn, **data}
 
 
 def canonical_form(m: int, n: int) -> tuple[int, int]:
@@ -103,29 +121,7 @@ class ClassReport:
     class_diffs: ClassDiffs
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "canonical_m": self.canonical[0],
-            "canonical_n": self.canonical[1],
-            "abelianization": self.abelianization,
-            "residually_finite": self.residually_finite,
-            "residually_p": {
-                "kind": self.residually_p.kind,
-                "primes": list(self.residually_p.primes),
-                "condition": self.residually_p.condition,
-            },
-            "residually_nilpotent": self.residually_nilpotent,
-            "residually_torsionfree_nilpotent": self.residually_torsionfree_nilpotent,
-            "lcs_length": self.lcs_length,
-            "gamma_omega": {"kind": self.gamma_omega.kind, "d": self.gamma_omega.d},
-            "class_diffs": {
-                "in_rf": self.class_diffs.in_rf,
-                "in_rn": self.class_diffs.in_rn,
-                "in_rp_any": self.class_diffs.in_rp_any,
-                "strict": self.class_diffs.strict,
-            },
-        }
+        return _report_json(self)
 
 
 def _residually_p(cm: int, cn: int) -> ResiduallyP:
@@ -212,16 +208,7 @@ class ChainReport:
     notes: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "canonical_m": self.canonical[0],
-            "canonical_n": self.canonical[1],
-            "case": self.case,
-            "chain": list(self.chain),
-            "quotients": {q: v for q, v in self.quotients},
-            "notes": list(self.notes),
-        }
+        return {**_report_json(self), "quotients": dict(self.quotients)}
 
 
 def prop5_chain(m: int, n: int) -> ChainReport:

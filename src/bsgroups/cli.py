@@ -3,7 +3,8 @@
 Every handler returns a pair (text, data); ``run`` prints the text, or the
 data as JSON under ``--json``, to stdout or to ``--out``.
 
-Exit codes: 0 success, 1 domain/computation error, 2 usage error.
+Exit codes: 0 success (also when the reader of stdout stops early), 1
+domain/computation error, 2 usage error.
 
 Each handler imports the modules it uses, so a ``bs`` process loads only
 what its subcommand needs.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import BsError
@@ -202,12 +204,8 @@ def _cmd_oracle_build(args):
         f"gamma sizes: {sizes}\n"
         f"relation t^-1 a^m t = a^n: {'holds' if relation_ok else 'FAILS'}"
     )
-    kp, j = q.size_params()
     return text, {
-        "quotient": q.describe(),
-        "p": q.p,
-        "k": kp,
-        "j": j,
+        **q.to_json_dict(),
         "order": q.order,
         "gamma_sizes": sizes,
         "relation_holds": relation_ok,
@@ -329,11 +327,6 @@ def run(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    # Exponents up to the bit cap must print in full, but CPython (3.10.7 on)
-    # refuses int <-> str conversions past 4300 digits by default.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
     try:
         text, data = args.fn(args)
         output = json.dumps(data, indent=2) if args.json else text
@@ -342,12 +335,16 @@ def run(argv: list[str] | None = None) -> int:
                 fh.write(output + "\n")
         else:
             print(output)
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early, as `bs sweep | head` does.  What is left
+        # in the buffer goes to devnull, so the flush at exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except (BsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -25,19 +25,31 @@ never proves membership.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
+from .classify import json_fields
 from .errors import DomainError, VerificationError
-from .intmath import is_prime, multiplicative_order, prime_factors, valuation
+from .intmath import is_prime, prime_factors, valuation
 from .words import Word, power
 
 CONSTRUCTION_ORDER_CAP = 10_000_000
 
 
+class _Quotient:
+    __slots__ = ()
+
+    def to_json_dict(self) -> dict:
+        """Name, prime and size exponents: k is the base exponent (e for a wreath)."""
+        # both families declare p, the base exponent and j first
+        p, k, j = (getattr(self, f.name) for f in fields(self)[:3])
+        return {"quotient": self.describe(), "p": p, "k": k, "j": j}
+
+
 @dataclass(frozen=True, slots=True)
-class Semidirect:
+class Semidirect(_Quotient):
     """Z_{p^k} x| Z_{p^j}; elements (x, y), a -> (1, 0), t -> (0, 1).
 
     Normal form x^alpha y^beta with y^-1 x y = x^u gives the product rule
@@ -77,12 +89,9 @@ class Semidirect:
     def describe(self) -> str:
         return f"Z_{self.p**self.k} x|_{self.u} Z_{self.p**self.j}"
 
-    def size_params(self) -> tuple[int, int]:
-        return (self.k, self.j)
-
 
 @dataclass(frozen=True, slots=True)
-class Wreath:
+class Wreath(_Quotient):
     """Z_{p^e} wr Z_{p^j}; elements (f, s) with f a length-p^j tuple.
 
     a -> delta at position 0, t -> shift by one.  Product rule
@@ -128,9 +137,6 @@ class Wreath:
 
     def describe(self) -> str:
         return f"Z_{self.p**self.e} wr Z_{self.p**self.j}"
-
-    def size_params(self) -> tuple[int, int]:
-        return (self.e, self.j)
 
 
 FinQuot = Semidirect | Wreath
@@ -369,22 +375,11 @@ class Certificate:
         return not chain.contains(self.i, self.image)
 
     def to_json_dict(self) -> dict:
-        kp, j = self.quotient.size_params()
-        return {
-            "quotient": self.quotient.describe(),
-            "p": self.quotient.p,
-            "k": kp,
-            "j": j,
-            "image": _jsonable(self.image),
-            "i": self.i,
-            "gamma_sizes": list(self.gamma_sizes),
-        }
-
-
-def _jsonable(x):
-    if isinstance(x, tuple):
-        return [_jsonable(v) for v in x]
-    return x
+        # m, n and the word are the question; the quotient is spelled by its own JSON.
+        data = json_fields(self)
+        for key in ("m", "n", "word", "quotient"):
+            del data[key]
+        return {**self.quotient.to_json_dict(), **data}
 
 
 def _semidirect_primes(m: int, n: int) -> list[int]:
@@ -410,7 +405,7 @@ def quotient_family(m: int, n: int, budget: SearchBudget = DEFAULT_BUDGET) -> li
             u = n * pow(m, -1, pk) % pk
             if u % p != 1:
                 continue
-            j_min = max(1, valuation(multiplicative_order(u, pk), p))
+            j_min = next(j for j in itertools.count(1) if pow(u, p**j, pk) == 1)
             for j in range(j_min, budget.j_max + 1):
                 if p ** (k + j) <= budget.order_cap:
                     out.append(Semidirect(p, k, j, u))

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 from random import Random
 
 from .britton import BSParams, abelianize, nf_equal, normalize
+from .classify import json_fields
 from .errors import DomainError, VerificationError
-from .words import Commutator, Conjugate, Gen, Power, Word, _reduce_pairs, eval_expr
+from .words import Commutator, Conjugate, Gen, Power, Word, _reduce_pairs, decimal, eval_expr
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,7 +51,7 @@ class FreeProdWord:
     def __str__(self) -> str:
         if not self.syllables:
             return "1"
-        return "".join(f"({g}^{e})" for g, e in self.syllables)
+        return "".join(f"({g}^{decimal(e)})" for g, e in self.syllables)
 
 
 def fp_normalize(d: int, w) -> FreeProdWord:
@@ -75,7 +76,8 @@ class BasisWord:
         if not self.tokens:
             return "1"
         return " ".join(
-            f"c({k},{l})" if s == 1 else f"c({k},{l})^-1" for k, l, s in self.tokens
+            f"c({decimal(k)},{l})" if s == 1 else f"c({decimal(k)},{l})^-1"
+            for k, l, s in self.tokens
         )
 
 
@@ -103,22 +105,16 @@ def fp_rewrite_basis(w: FreeProdWord) -> BasisWord:
         if g == "a":
             l = (l + e) % d
             continue
-        step = 1 if e > 0 else -1
-        for _ in range(abs(e)):
-            if step == 1:
-                if l != 0:
-                    _emit(tokens, -k, d - l, 1)
-                    _emit(tokens, -k - 1, d - l, -1)
-                k += 1
-            else:
-                if l != 0:
-                    _emit(tokens, -k, d - l, 1)
-                    _emit(tokens, 1 - k, d - l, -1)
-                k -= 1
+        # Letter by letter, t^e emits c(-k) c(-k-s)^-1 c(-k-s) ... c(-k-e)^-1
+        # (s the sign of e, l fixed); the inner pairs cancel.
+        if l != 0:
+            _emit(tokens, -k, d - l, 1)
+            _emit(tokens, -k - e, d - l, -1)
+        k += e
     if k != 0 or l != 0:
         raise DomainError(
             "word lies outside the Cartesian subgroup "
-            f"(coset state ({k}, {l}) after scanning)"
+            f"(coset state ({decimal(k)}, {l}) after scanning)"
         )
     return BasisWord(d, tuple(tokens))
 
@@ -198,17 +194,7 @@ class ProbeReport:
         return not self.failures
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "K": self.K,
-            "trials": self.trials,
-            "max_len": self.max_len,
-            "checked": self.checked,
-            "nontrivial": self.nontrivial,
-            "skipped_empty": self.skipped_empty,
-            "failures": list(self.failures),
-            "ok": self.ok,
-        }
+        return {**json_fields(self), "ok": self.ok}
 
 
 def free_subgroup_probe(

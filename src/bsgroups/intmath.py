@@ -1,4 +1,4 @@
-"""Small integer helpers: Euclidean division, factoring, orders.
+"""Small integer helpers: Euclidean division, factoring, valuations.
 
 Factoring is trial division by small numbers, then Brent-Pollard rho
 (Pollard, BIT 15, 1975) with deterministic Miller-Rabin, exact below
@@ -152,17 +152,3 @@ def valuation(x: int, p: int) -> int:
         v += 1
     return v
 
-
-def multiplicative_order(u: int, mod: int) -> int:
-    """Order of u in (Z/mod)*; u must be a unit."""
-    u %= mod
-    if gcd(u, mod) != 1:
-        raise ValueError(f"{u} is not a unit modulo {mod}")
-    k = 1
-    acc = u
-    while acc != 1 % mod:
-        acc = acc * u % mod
-        k += 1
-        if k > mod:
-            raise RuntimeError("order computation ran away")  # unreachable
-    return k

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .britton import BSParams, bs_group
-from .classify import classify
+from .classify import classify, json_fields
 from .errors import DomainError, VerificationError
 from .words import (
     MAX_NESTING,
@@ -149,12 +149,7 @@ class OmegaStabilityReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "m": self.m,
-            "n": self.n,
-            "d": self.d,
-            "k": self.k,
-            "identity": self.identity,
-            "verified": self.verified,
+            **json_fields(self),
             "note": "stable under [., G] on generators; evidence, not proof",
         }
 

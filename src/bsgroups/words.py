@@ -166,9 +166,6 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         return Word.from_pairs(self.syllables + other.syllables)
 
-    def __pow__(self, k: int) -> "Word":
-        return power(free_group(resolve_max_bits()), self, k)
-
     def __str__(self) -> str:
         if not self.syllables:
             return "1"
@@ -401,7 +398,7 @@ def pretty_print(expr: CommExpr) -> str:
     if isinstance(expr, Gen):
         return expr.name
     if isinstance(expr, Power):
-        return f"{_atomic(expr.base)}^{expr.exp}"
+        return f"{_atomic(expr.base)}^{decimal(expr.exp)}"
     if isinstance(expr, Product):
         return " ".join(_factor(f) for f in expr.factors)
     if isinstance(expr, Commutator):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import re
 
@@ -10,6 +11,7 @@ from bsgroups.affine import AffineElem, ZnElement, zn_add, zn_scale_pow
 from bsgroups.britton import BrittonNF, BSParams
 from bsgroups.errors import DomainError, ExponentCapExceeded, ParseError
 from bsgroups.finquot import FinQuot, Semidirect
+from bsgroups.freeprod import BasisWord, FreeProdWord, _emit
 from bsgroups.intmath import euclid_divmod
 from bsgroups.words import (
     MAX_NESTING,
@@ -145,6 +147,17 @@ def brute_gamma_series(q: FinQuot) -> list[frozenset]:
         chain.append(nxt)
         current = nxt
     return chain
+
+
+def multiplicative_order(u: int, mod: int) -> int:
+    """Order of the unit u in (Z/mod)* by walking its powers: the oracle for
+    the least j with u^(p^j) = 1 in finquot.quotient_family."""
+    u %= mod
+    k, acc = 1, u
+    while acc != 1 % mod:
+        acc = acc * u % mod
+        k += 1
+    return k
 
 
 def trial_factors(n: int) -> dict[int, int]:
@@ -342,3 +355,116 @@ def reference_parse_expr(text: str, max_bits: int | None = None):
     if parser.peek() != "":
         raise parser.error("trailing input")
     return expr
+
+
+def reference_rewrite_basis(w: FreeProdWord) -> BasisWord:
+    """Reidemeister-Schreier rewriting letter by letter: |e| steps per t^e.
+    The oracle for freeprod.fp_rewrite_basis, which takes one step per t^e."""
+    d, k, l = w.d, 0, 0
+    tokens: list[tuple[int, int, int]] = []
+    for g, e in w.syllables:
+        if g == "a":
+            l = (l + e) % d
+            continue
+        step = 1 if e > 0 else -1
+        for _ in range(abs(e)):
+            if l != 0:
+                _emit(tokens, -k, d - l, 1)
+                _emit(tokens, -k - step, d - l, -1)
+            k += step
+    if k != 0 or l != 0:
+        raise DomainError(f"coset state ({k}, {l}) after scanning")
+    return BasisWord(d, tuple(tokens))
+
+
+# The JSON of each report, field by field as it was written by hand before
+# to_json_dict was derived from the report's dataclass fields.
+
+
+def assert_same_json(got: dict, want: dict) -> None:
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)  # same key order too
+
+
+def reference_class_json(r) -> dict:
+    return {
+        "m": r.m,
+        "n": r.n,
+        "canonical_m": r.canonical[0],
+        "canonical_n": r.canonical[1],
+        "abelianization": r.abelianization,
+        "residually_finite": r.residually_finite,
+        "residually_p": {
+            "kind": r.residually_p.kind,
+            "primes": list(r.residually_p.primes),
+            "condition": r.residually_p.condition,
+        },
+        "residually_nilpotent": r.residually_nilpotent,
+        "residually_torsionfree_nilpotent": r.residually_torsionfree_nilpotent,
+        "lcs_length": r.lcs_length,
+        "gamma_omega": {"kind": r.gamma_omega.kind, "d": r.gamma_omega.d},
+        "class_diffs": {
+            "in_rf": r.class_diffs.in_rf,
+            "in_rn": r.class_diffs.in_rn,
+            "in_rp_any": r.class_diffs.in_rp_any,
+            "strict": r.class_diffs.strict,
+        },
+    }
+
+
+def reference_chain_json(r) -> dict:
+    return {
+        "m": r.m,
+        "n": r.n,
+        "canonical_m": r.canonical[0],
+        "canonical_n": r.canonical[1],
+        "case": r.case,
+        "chain": list(r.chain),
+        "quotients": {q: v for q, v in r.quotients},
+        "notes": list(r.notes),
+    }
+
+
+def reference_probe_json(r) -> dict:
+    return {
+        "d": r.d,
+        "K": r.K,
+        "trials": r.trials,
+        "max_len": r.max_len,
+        "checked": r.checked,
+        "nontrivial": r.nontrivial,
+        "skipped_empty": r.skipped_empty,
+        "failures": list(r.failures),
+        "ok": r.ok,
+    }
+
+
+def reference_omega_json(r) -> dict:
+    return {
+        "m": r.m,
+        "n": r.n,
+        "d": r.d,
+        "k": r.k,
+        "identity": r.identity,
+        "verified": r.verified,
+        "note": "stable under [., G] on generators; evidence, not proof",
+    }
+
+
+def _jsonable(x):
+    if isinstance(x, tuple):
+        return [_jsonable(v) for v in x]
+    return x
+
+
+def reference_certificate_json(c) -> dict:
+    q = c.quotient
+    return {
+        "quotient": q.describe(),
+        "p": q.p,
+        "k": q.k if isinstance(q, Semidirect) else q.e,
+        "j": q.j,
+        "image": _jsonable(c.image),
+        "i": c.i,
+        "gamma_sizes": list(c.gamma_sizes),
+    }

@@ -6,6 +6,13 @@ from bsgroups.errors import DomainError
 from bsgroups.freeprod import free_subgroup_probe, r_generators
 from bsgroups.words import parse_word
 
+from helpers import (
+    assert_same_json,
+    reference_chain_json,
+    reference_class_json,
+    reference_probe_json,
+)
+
 GRID = [(m, n) for m in range(1, 9) for n in range(-8, 9) if n != 0]
 
 
@@ -114,6 +121,16 @@ def test_classify_json_shape():
     assert set(d["class_diffs"]) == {"in_rf", "in_rn", "in_rp_any", "strict"}
 
 
+def test_report_json_matches_hand_written_json():
+    signed = [x for x in range(-12, 13) if x != 0]
+    for m in signed:
+        for n in signed:
+            rep = classify(m, n)
+            assert_same_json(rep.to_json_dict(), reference_class_json(rep))
+            chain = prop5_chain(m, n)
+            assert_same_json(chain.to_json_dict(), reference_chain_json(chain))
+
+
 def test_prop5_cases_frozen():
     assert prop5_chain(2, 6).case == 1
     assert prop5_chain(2, 5).case == 2
@@ -181,6 +198,9 @@ def test_free_subgroup_probe():
 
     d = rep.to_json_dict()
     assert d["ok"] is True and d["failures"] == []
+    for m, n, K in ((2, 4, 3), (6, 6, 2), (4, -6, 1), (3, 9, 2)):
+        rep = free_subgroup_probe(BSParams(m, n), K=K, trials=20, max_len=4, seed=m)
+        assert_same_json(rep.to_json_dict(), reference_probe_json(rep))
 
     with pytest.raises(DomainError):
         free_subgroup_probe(BSParams(1, 2))

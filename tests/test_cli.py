@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -219,6 +221,37 @@ def test_huge_exponent_prints_in_full(capsys):
     code, out, err = _run(capsys, argv[:-1] + ["--json", argv[-1]])
     assert code == 0 and err == "" and json.loads(out)["normal_form"] == expected
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def _bs_child(*argv: str) -> subprocess.Popen:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as it is by default
+    return subprocess.Popen(
+        [sys.executable, "-m", "bsgroups.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+
+
+def _assert_quiet_exit(proc: subprocess.Popen) -> None:
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+def test_closed_pipe_ends_quietly():
+    # The sweep prints more than a pipe buffer holds, so a write meets the
+    # closed pipe whatever the timing.
+    proc = _bs_child("sweep", "--m-max", "30", "--n-max", "30")
+    assert proc.stdout.readline() == (",".join(SWEEP_COLUMNS) + "\n").encode()
+    proc.stdout.close()
+    _assert_quiet_exit(proc)
+    # A short report is closed on before the child has started up, so its
+    # one write meets the closed pipe.
+    proc = _bs_child("classify", "-m", "6", "-n", "6")
+    proc.stdout.close()
+    _assert_quiet_exit(proc)
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -23,9 +23,18 @@ from bsgroups.finquot import (
     fq_gamma_series,
     quotient_family,
 )
+from bsgroups.intmath import valuation
 from bsgroups.words import parse_word, power
 
-from helpers import brute_gamma_series, elements, insert_relator, rand_word
+from helpers import (
+    assert_same_json,
+    brute_gamma_series,
+    elements,
+    insert_relator,
+    multiplicative_order,
+    rand_word,
+    reference_certificate_json,
+)
 
 DEFAULT_ORDER_CAP = SearchBudget().order_cap
 
@@ -226,6 +235,18 @@ def test_family_respects_budget():
     assert quotient_family(2, 3) == []  # |n - m| = 1 and gcd = 1: nothing fits
 
 
+def test_family_starts_at_the_p_part_of_the_order_of_u():
+    # m = 1, n = u puts u itself on the action; its order mod p^k is a power of p
+    for p, k_max in ((2, 8), (3, 5), (5, 3), (7, 3)):
+        budget = SearchBudget(k_max=k_max, j_max=k_max, order_cap=p ** (2 * k_max))
+        for u in range(1 + p, p**k_max, p):
+            fam = quotient_family(1, u, budget)
+            for k in range(1, k_max + 1):
+                want = max(1, valuation(multiplicative_order(u, p**k), p))
+                js = [q.j for q in fam if isinstance(q, Semidirect) and (q.p, q.k) == (p, k)]
+                assert js == list(range(want, k_max + 1)), (p, k, u)
+
+
 def test_fq_eval_is_well_defined_on_the_group():
     rng = random.Random(71)
     cases = [
@@ -294,6 +315,19 @@ def test_certificate_json_schema():
     assert d["i"] == 3
     assert isinstance(d["image"], list)
     assert d["gamma_sizes"][-1] == 1
+
+
+def test_certificate_json_matches_hand_written_json():
+    groups = ((1, 3), (1, 5), (2, 4), (2, -2), (6, 6), (3, -5), (2, 6), (4, 8))
+    words = ("a", "a^2", "a^4", "[a, t]", "t a^2 T a", "[[a, t], t]")
+    kinds = set()
+    for (m, n), text, i in itertools.product(groups, words, range(2, 6)):
+        cert = certify_not_in_gamma(m, n, parse_word(text), i)
+        if cert is None:
+            continue
+        kinds.add(type(cert.quotient))
+        assert_same_json(cert.to_json_dict(), reference_certificate_json(cert))
+    assert kinds == {Semidirect, Wreath}
 
 
 def test_certify_deeper_weights():

@@ -1,6 +1,9 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsgroups.britton import BSParams, nf_equal
 from bsgroups.errors import DomainError
@@ -14,7 +17,7 @@ from bsgroups.freeprod import (
 )
 from bsgroups.words import Word, parse_word
 
-from helpers import rand_gamma2_word, rand_word
+from helpers import rand_gamma2_word, rand_word, reference_rewrite_basis
 
 
 def test_fp_normalize_examples():
@@ -69,6 +72,35 @@ def test_rewrite_requires_cartesian_subgroup():
         fp_rewrite_basis(fp_normalize(2, parse_word("t")))
     with pytest.raises(DomainError):
         fp_rewrite_basis(fp_normalize(3, parse_word("a")))
+
+
+_SYLLABLES = st.lists(st.tuples(st.sampled_from("at"), st.integers(-6, 6)), max_size=12)
+
+
+@settings(max_examples=500)
+@given(st.integers(2, 5), _SYLLABLES, st.booleans())
+def test_rewrite_matches_letter_by_letter_rewrite(d, pairs, close):
+    if close:  # return to the identity coset: a Cartesian-subgroup word
+        sigma_a = sum(e for g, e in pairs if g == "a")
+        sigma_t = sum(e for g, e in pairs if g == "t")
+        pairs = pairs + [("a", -sigma_a), ("t", -sigma_t)]
+    w = fp_normalize(d, pairs)
+    try:
+        want = reference_rewrite_basis(w)
+    except DomainError:
+        with pytest.raises(DomainError):
+            fp_rewrite_basis(w)
+        return
+    assert fp_rewrite_basis(w) == want
+
+
+def test_rewrite_takes_one_step_per_t_syllable():
+    w = FreeProdWord(2, (("t", 10**7), ("a", 1), ("t", -(10**7)), ("a", 1)))
+    start = time.perf_counter()
+    bw = fp_rewrite_basis(w)
+    assert time.perf_counter() - start < 0.1
+    assert bw.tokens == ((-(10**7), 1, 1),)
+    assert str(bw) == "c(-10000000,1)"
 
 
 def test_lift_examples():

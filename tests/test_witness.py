@@ -11,6 +11,8 @@ from bsgroups.witness import (
 )
 from bsgroups.words import MAX_NESTING, Commutator, Gen, Power, Product, eval_expr, parse_expr, parse_word, pretty_print
 
+from helpers import assert_same_json, reference_omega_json
+
 
 def test_comm_depth():
     assert comm_depth(Gen("a")) == 0
@@ -134,6 +136,10 @@ def test_omega_stability():
 
     d = rep.to_json_dict()
     assert d["verified"] is True and "evidence" in d["note"]
+
+    for m, n in ((2, 3), (1, 2), (2, 4), (4, 6), (4, 2), (-3, -4), (3, 6)):
+        rep = omega_stability_check(BSParams(m, n))
+        assert_same_json(rep.to_json_dict(), reference_omega_json(rep))
 
 
 def test_omega_stability_preconditions():

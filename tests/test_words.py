@@ -12,6 +12,7 @@ from bsgroups.affine import ZnElement, affine_group, to_affine
 from bsgroups.britton import BSParams, bs_group, normalize
 from bsgroups.errors import ExponentCapExceeded, ParseError, WordSizeExceeded
 from bsgroups.finquot import build_semidirect, build_wreath
+from bsgroups.freeprod import BasisWord, FreeProdWord
 from bsgroups.words import (
     Commutator,
     Conjugate,
@@ -215,11 +216,12 @@ def test_word_str_forms():
     assert str(Word.from_pairs([])) == "1"
 
 
-def test_word_pow():
+def test_free_group_power():
+    F = free_group(64)
     w = parse_word("a t")
-    assert w ** 3 == w * w * w
-    assert (w ** -1) == w.inverse()
-    assert (w ** 0).is_identity
+    assert power(F, w, 3) == w * w * w
+    assert power(F, w, -1) == w.inverse()
+    assert power(F, w, 0).is_identity
 
 
 def test_exponent_cap():
@@ -328,6 +330,15 @@ def test_huge_exponents_parse_and_print_outside_the_cli(digit_limit):
     assert str(w) == "a^" + "9" * 5000
     assert repr(parse_expr("a^" + "9" * 5000)) == f"Power(base=Gen(name='a'), exp={'9' * 5000})"
     assert str(ZnElement(-(10**5000), 3)) == "-1" + "0" * 5000 + "/n^3"
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == digit_limit
+
+
+def test_huge_exponents_print_in_expressions_and_free_products(digit_limit):
+    big = 10**5000 - 1  # 5000 digits, past the default limit
+    nines = "9" * 5000
+    assert pretty_print(Commutator(Power(Gen("a"), -big), Gen("t"))) == f"[a^-{nines}, t]"
+    assert str(FreeProdWord(2, (("t", big), ("a", 1)))) == f"(t^{nines})(a^1)"
+    assert str(BasisWord(2, ((-big, 1, 1), (big, 1, -1)))) == f"c(-{nines},1) c({nines},1)^-1"
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == digit_limit
 
 

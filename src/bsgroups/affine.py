@@ -236,13 +236,18 @@ def gamma_quot_image(n: int, i: int, g: AffineElem) -> int:
 
     Dividing the translation by (n-1)^{i-1} and reducing the numerator mod
     |n-1| is well defined because n = 1 there, making all denominators act
-    trivially.  Requires |n-1| > 1 and weight(g) >= i.
+    trivially.  Requires |n-1| > 1 and weight(g) >= i.  The identity, which
+    lies in every term, maps to 0 without forming (n-1)^{i-1}; any other g
+    has i <= weight(g), which its translation's size bounds.
     """
     if n in (0, 1, 2):
         raise DomainError("gamma quotients need |n-1| > 1")
     if i < 2:
         raise DomainError("the cyclic quotient map starts at gamma_2/gamma_3's level i = 2")
-    if not lcs_weight(n, g).at_least(i):
-        raise DomainError(f"element has weight {lcs_weight(n, g)}, below gamma_{i}")
+    weight = lcs_weight(n, g)
+    if not weight.at_least(i):
+        raise DomainError(f"element has weight {weight}, below gamma_{i}")
+    if weight.is_omega:
+        return 0
     c = zn_divexact_int(n, g.b, (n - 1) ** (i - 1))
     return c.num % abs(n - 1)

@@ -42,6 +42,10 @@ def json_fields(x):
     return x
 
 
+def _bool(v: bool) -> str:
+    return "true" if v else "false"
+
+
 def _report_json(report) -> dict:
     """A report's fields, with canonical spelled as canonical_m, canonical_n
     right after m and n."""
@@ -122,6 +126,51 @@ class ClassReport:
 
     def to_json_dict(self) -> dict:
         return _report_json(self)
+
+    def __str__(self) -> str:
+        rp = self.residually_p
+        lines = [
+            f"BS({self.m},{self.n}) canonical ({self.canonical[0]},{self.canonical[1]})",
+            f"abelianization: {self.abelianization}",
+            f"residually finite: {_bool(self.residually_finite)}",
+            f"residually p: {rp} ({rp.condition})",
+            f"residually nilpotent: {_bool(self.residually_nilpotent)}",
+            "residually torsion-free nilpotent: "
+            + _bool(self.residually_torsionfree_nilpotent),
+            f"lcs length: {self.lcs_length}",
+            f"gamma_omega: {self.gamma_omega}",
+        ]
+        if self.class_diffs.strict:
+            lines.append(f"strict class difference: {self.class_diffs.strict}")
+        return "\n".join(lines)
+
+    def csv_row(self) -> dict[str, str]:
+        """The report's cells in the sweep CSV, by column."""
+        return dict(zip(SWEEP_COLUMNS, (
+            str(self.m),
+            str(self.n),
+            str(self.canonical[0]),
+            str(self.canonical[1]),
+            self.abelianization,
+            _bool(self.residually_finite),
+            str(self.residually_p),
+            _bool(self.residually_nilpotent),
+            _bool(self.residually_torsionfree_nilpotent),
+            self.lcs_length,
+            str(self.gamma_omega),
+            str(prop5_chain(self.m, self.n).case),
+        )))
+
+
+# The sweep CSV: a header, then one ClassReport.csv_row per line.
+SWEEP_COLUMNS = [
+    "m", "n", "canonical_m", "canonical_n", "ab", "rf", "rp_primes", "rn", "rtfn",
+    "lcs_length", "gamma_omega", "prop5_case",
+]
+
+
+def sweep_csv(rows: list[dict[str, str]]) -> str:
+    return "\n".join(",".join(row) for row in [SWEEP_COLUMNS, *(r.values() for r in rows)])
 
 
 def _residually_p(cm: int, cn: int) -> ResiduallyP:
@@ -209,6 +258,12 @@ class ChainReport:
 
     def to_json_dict(self) -> dict:
         return {**_report_json(self), "quotients": dict(self.quotients)}
+
+    def __str__(self) -> str:
+        lines = [f"BS({self.m},{self.n}) case {self.case}", "chain: " + " >= ".join(self.chain)]
+        lines += [f"{q} = {v}" for q, v in self.quotients]
+        lines += [f"note: {t}" for t in self.notes]
+        return "\n".join(lines)
 
 
 def prop5_chain(m: int, n: int) -> ChainReport:

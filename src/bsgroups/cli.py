@@ -1,13 +1,14 @@
 """Command line surface: one verb per library capability.
 
 Every handler returns a pair (text, data); ``run`` prints the text, or the
-data as JSON under ``--json``, to stdout or to ``--out``.
+data as JSON under ``--json``, to stdout or to ``--out``.  A report gives
+both: ``str(report)`` and ``report.to_json_dict()``.
 
 Exit codes: 0 success (also when the reader of stdout stops early), 1
 domain/computation error, 2 usage error.
 
-Each handler imports the modules it uses, so a ``bs`` process loads only
-what its subcommand needs.
+Each handler imports what it uses past ``classify`` (which ``import
+bsgroups`` loads), so a ``bs`` process loads only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -17,16 +18,11 @@ import json
 import os
 import sys
 
+from .classify import classify, prop5_chain, sweep_csv
 from .errors import BsError
 
-SWEEP_COLUMNS = [
-    "m", "n", "canonical_m", "canonical_n", "ab", "rf", "rp_primes", "rn", "rtfn",
-    "lcs_length", "gamma_omega", "prop5_case",
-]
-
-
-def _bool(v: bool) -> str:
-    return "true" if v else "false"
+# The subcommands whose handlers read args.max_bits.
+_BIT_CAPPED = {"normalize", "eq", "weight", "quot-image", "lemma2", "member", "omega", "certify"}
 
 
 def _cmd_normalize(args):
@@ -74,86 +70,33 @@ def _cmd_quot_image(args):
     return str(r), {"n": args.n, "i": args.i, "modulus": abs(args.n - 1), "image": r}
 
 
-def _sweep_row(rep) -> list[str]:
-    from .classify import prop5_chain
-
-    return [
-        str(rep.m),
-        str(rep.n),
-        str(rep.canonical[0]),
-        str(rep.canonical[1]),
-        rep.abelianization,
-        _bool(rep.residually_finite),
-        str(rep.residually_p),
-        _bool(rep.residually_nilpotent),
-        _bool(rep.residually_torsionfree_nilpotent),
-        rep.lcs_length,
-        str(rep.gamma_omega),
-        str(prop5_chain(rep.m, rep.n).case),
-    ]
-
-
 def _cmd_classify(args):
-    from .classify import classify
-
     rep = classify(args.m, args.n)
-    if args.csv:
-        text = ",".join(SWEEP_COLUMNS) + "\n" + ",".join(_sweep_row(rep))
-    else:
-        rp = rep.residually_p
-        lines = [
-            f"BS({rep.m},{rep.n}) canonical ({rep.canonical[0]},{rep.canonical[1]})",
-            f"abelianization: {rep.abelianization}",
-            f"residually finite: {_bool(rep.residually_finite)}",
-            f"residually p: {rp} ({rp.condition})",
-            f"residually nilpotent: {_bool(rep.residually_nilpotent)}",
-            f"residually torsion-free nilpotent: {_bool(rep.residually_torsionfree_nilpotent)}",
-            f"lcs length: {rep.lcs_length}",
-            f"gamma_omega: {rep.gamma_omega}",
-        ]
-        if rep.class_diffs.strict:
-            lines.append(f"strict class difference: {rep.class_diffs.strict}")
-        text = "\n".join(lines)
-    return text, rep.to_json_dict()
+    return sweep_csv([rep.csv_row()]) if args.csv else str(rep), rep.to_json_dict()
 
 
 def _cmd_chain(args):
-    from .classify import prop5_chain
-
     rep = prop5_chain(args.m, args.n)
-    lines = [f"BS({rep.m},{rep.n}) case {rep.case}", "chain: " + " >= ".join(rep.chain)]
-    lines += [f"{q} = {v}" for q, v in rep.quotients]
-    lines += [f"note: {t}" for t in rep.notes]
-    return "\n".join(lines), rep.to_json_dict()
-
-
-def _witness(w):
-    data = w.to_json_dict()
-    text = (
-        f"{data['expr']} = {data['target']} in BS({w.m},{w.n}); "
-        f"value lies in gamma_{w.depth} (verified)"
-    )
-    return text, data
+    return str(rep), rep.to_json_dict()
 
 
 def _cmd_lemma2(args):
     from .britton import BSParams
     from .witness import lemma2_witness
 
-    return _witness(lemma2_witness(BSParams(args.m, args.n), args.i, args.max_bits))
+    rep = lemma2_witness(BSParams(args.m, args.n), args.i, args.max_bits)
+    return str(rep), rep.to_json_dict()
 
 
 def _cmd_member(args):
     from .britton import BSParams
     from .witness import gamma_membership_witness
-    from .words import Word, parse_word
+    from .words import parse_word
 
     p = BSParams(args.m, args.n)
-    if args.target:
-        target = parse_word(args.target, args.max_bits)
-    else:
-        target = Word.from_pairs((("a", p.d),))
-    return _witness(gamma_membership_witness(p, target, args.s, args.max_bits))
+    target = parse_word(args.target or f"a^{p.d}", args.max_bits)
+    rep = gamma_membership_witness(p, target, args.s, args.max_bits)
+    return str(rep), rep.to_json_dict()
 
 
 def _cmd_omega(args):
@@ -161,11 +104,7 @@ def _cmd_omega(args):
     from .witness import omega_stability_check
 
     rep = omega_stability_check(BSParams(args.m, args.n), args.max_bits)
-    text = (
-        f"BS({rep.m},{rep.n}): {rep.identity}; "
-        "stable under [., G] on generators (evidence, not proof)"
-    )
-    return text, rep.to_json_dict()
+    return str(rep), rep.to_json_dict()
 
 
 def _cmd_rgen(args):
@@ -182,12 +121,7 @@ def _cmd_fsub_probe(args):
 
     p = BSParams(args.m, args.n)
     rep = free_subgroup_probe(p, args.K, args.trials, args.max_len, args.seed)
-    text = (
-        f"d={rep.d} K={rep.K}: checked {rep.checked} reduced words "
-        f"(skipped {rep.skipped_empty} empty), nontrivial {rep.nontrivial}, "
-        f"{'OK' if rep.ok else 'FAILURES: ' + '; '.join(rep.failures)}"
-    )
-    return text, rep.to_json_dict()
+    return str(rep), rep.to_json_dict()
 
 
 def _cmd_oracle_build(args):
@@ -223,21 +157,18 @@ def _cmd_oracle_certify(args):
         text = "inconclusive: no quotient in the budgeted family separates the element"
         return text, {"certificate": None, "conclusive": False}
     ok = cert.verify()
-    text = f"{cert.statement}\ngamma sizes: {list(cert.gamma_sizes)}\nre-verified: {_bool(ok)}"
+    text = f"{cert}\nre-verified: {'true' if ok else 'false'}"
     return text, {"certificate": {**cert.to_json_dict(), "verified": ok}, "conclusive": True}
 
 
 def _cmd_sweep(args):
-    from .classify import classify
-
     rows = [
-        _sweep_row(classify(m, n))
+        classify(m, n).csv_row()
         for m in range(1, args.m_max + 1)
         for n in range(-args.n_max, args.n_max + 1)
         if n != 0
     ]
-    text = "\n".join(",".join(row) for row in [SWEEP_COLUMNS, *rows])
-    return text, [dict(zip(SWEEP_COLUMNS, row)) for row in rows]
+    return sweep_csv(rows), rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,13 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def command(parent, name, fn, summary, m=True, n=True, max_bits=True):
+    def command(parent, name, fn, summary, m=True, n=True):
         p = parent.add_parser(name, help=summary)
         if m:
             p.add_argument("-m", type=int, required=True, help="first exponent")
         if n:
             p.add_argument("-n", type=int, required=True, help="second exponent")
-        if max_bits:
+        if name in _BIT_CAPPED:
             p.add_argument("--max-bits", type=int, default=None, help="bit cap for exponents")
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument("--out", default=None, help="write output to FILE")
@@ -312,8 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("word")
 
     p = command(
-        sub, "sweep", _cmd_sweep, "classification sweep over a parameter grid",
-        m=False, n=False, max_bits=False,
+        sub, "sweep", _cmd_sweep, "classification sweep over a parameter grid", m=False, n=False
     )
     p.add_argument("--m-max", type=int, default=12)
     p.add_argument("--n-max", type=int, default=12)

@@ -38,6 +38,18 @@ from .words import Word, power
 CONSTRUCTION_ORDER_CAP = 10_000_000
 
 
+def _max_exponent(p: int, cap: int) -> int:
+    """The largest e with p^e <= cap, found without forming a power past cap.
+
+    Orders are compared with a cap through their exponents of p, so a
+    budget or a size past the cap costs nothing however large it is.
+    """
+    e, power = 0, p
+    while power <= cap:
+        e, power = e + 1, power * p
+    return e
+
+
 class _Quotient:
     __slots__ = ()
 
@@ -165,9 +177,9 @@ def build_semidirect(p: int, k: int, j: int, m: int, n: int) -> Semidirect:
         raise DomainError(f"p = {p} is not prime")
     if k < 1 or j < 1:
         raise DomainError("k and j must be positive")
-    pk = p**k
-    if p ** (k + j) > CONSTRUCTION_ORDER_CAP:
+    if k + j > _max_exponent(p, CONSTRUCTION_ORDER_CAP):
         raise DomainError(f"order {p}^{k + j} exceeds the construction cap")
+    pk = p**k
     if m % p == 0:
         raise DomainError(f"gcd(m, p) != 1: p = {p} divides m = {m}")
     u = n * pow(m, -1, pk) % pk
@@ -190,12 +202,12 @@ def build_wreath(p: int, e: int, j: int) -> Wreath:
         raise DomainError(f"p = {p} is not prime")
     if e < 1 or j < 1:
         raise DomainError("e and j must be positive")
-    q = Wreath(p, e, j)
-    if q.order > CONSTRUCTION_ORDER_CAP:
+    top = _max_exponent(p, CONSTRUCTION_ORDER_CAP)
+    if j > top or e * p**j + j > top:  # |Q| = p^(e p^j + j)
         raise DomainError(
-            f"wreath order {p}^{e * p**j + j} exceeds the construction cap"
+            f"wreath order {p}^({e} * {p}^{j} + {j}) exceeds the construction cap"
         )
-    return q
+    return Wreath(p, e, j)
 
 
 # A Howell row (c, p^a, row): the row is zero before column c and has the
@@ -362,6 +374,9 @@ class Certificate:
             f"gamma_{self.i}(BS({self.m},{self.n}))"
         )
 
+    def __str__(self) -> str:
+        return f"{self.statement}\ngamma sizes: {list(self.gamma_sizes)}"
+
     def verify(self) -> bool:
         """Recompute the image, the chain, and the membership verdict."""
         q = self.quotient
@@ -400,21 +415,22 @@ def quotient_family(m: int, n: int, budget: SearchBudget = DEFAULT_BUDGET) -> li
     d = math.gcd(abs(m), abs(n))
     out: list[FinQuot] = []
     for p in _semidirect_primes(m, n):
-        for k in range(1, budget.k_max + 1):
+        top = _max_exponent(p, budget.order_cap)  # |Q| = p^(k + j) <= p^top
+        for k in range(1, min(budget.k_max, top - 1) + 1):
             pk = p**k
             u = n * pow(m, -1, pk) % pk
             if u % p != 1:
                 continue
             j_min = next(j for j in itertools.count(1) if pow(u, p**j, pk) == 1)
-            for j in range(j_min, budget.j_max + 1):
-                if p ** (k + j) <= budget.order_cap:
-                    out.append(Semidirect(p, k, j, u))
+            for j in range(j_min, min(budget.j_max, top - k) + 1):
+                out.append(Semidirect(p, k, j, u))
     for p in prime_factors(d):
+        top = _max_exponent(p, budget.order_cap)  # |Q| = p^(e p^j + j) <= p^top
         for e in range(1, valuation(d, p) + 1):
-            for j in range(1, budget.j_max + 1):
-                q = Wreath(p, e, j)
-                if q.order <= budget.order_cap:
-                    out.append(q)
+            for j in range(1, min(budget.j_max, top) + 1):
+                if e * p**j + j > top:
+                    break
+                out.append(Wreath(p, e, j))
     out.sort(key=lambda q: q.order)
     return out
 

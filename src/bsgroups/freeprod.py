@@ -196,6 +196,13 @@ class ProbeReport:
     def to_json_dict(self) -> dict:
         return {**json_fields(self), "ok": self.ok}
 
+    def __str__(self) -> str:
+        return (
+            f"d={self.d} K={self.K}: checked {self.checked} reduced words "
+            f"(skipped {self.skipped_empty} empty), nontrivial {self.nontrivial}, "
+            f"{'OK' if self.ok else 'FAILURES: ' + '; '.join(self.failures)}"
+        )
+
 
 def free_subgroup_probe(
     p: BSParams,
@@ -215,13 +222,9 @@ def free_subgroup_probe(
         raise DomainError("free subgroup probe needs gcd(|m|, |n|) >= 2")
     if K < 1:
         raise DomainError("K must be >= 1")
+    if max_len < 0:
+        raise DomainError("max_len must be >= 0")
     rng = Random(seed)
-    letters = [
-        (k, s)
-        for k in range(-K, K + 1)
-        if k != 0
-        for s in range(1, d)
-    ]
     checked = nontrivial = skipped = 0
     failures: list[str] = []
     for _ in range(trials):
@@ -231,7 +234,10 @@ def free_subgroup_probe(
             continue
         tokens: list[tuple[int, int, int]] = []
         while len(tokens) < length:
-            k, s = rng.choice(letters)
+            # the letters (k, s), k = -K..K but 0, s = 1..d-1, in that order,
+            # drawn by index so that they are never listed: d may be huge
+            k, s = divmod(rng.randrange(2 * K * (d - 1)), d - 1)
+            k, s = k - K + (k >= K), s + 1
             sign = rng.choice((1, -1))
             if tokens and tokens[-1] == (k, s, -sign):
                 continue  # keep the word reduced

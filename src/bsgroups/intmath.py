@@ -31,8 +31,13 @@ _TRIAL_BOUND = 100
 # (Sorenson and Webster, 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
-# Rho steps spent on a cofactor above MR_EXACT_BOUND before giving up.
+# Rho steps spent on a cofactor above MR_EXACT_BOUND, of at most
+# _RHO_BUDGET_BITS bits, before giving up.  A step on a larger cofactor is
+# charged by the square of its size in units of _RHO_BUDGET_BITS, as its
+# multiply and schoolbook reduction cost, so a search that fails takes
+# about the same time at any size.
 _RHO_BUDGET = 1 << 20
+_RHO_BUDGET_BITS = 128
 
 
 def prime_factors(n: int) -> dict[int, int]:
@@ -92,7 +97,9 @@ def _rho(n: int) -> int:
     Below MR_EXACT_BOUND it retries until it succeeds, which takes about
     sqrt(p) steps for the smallest prime factor p <= 1.9 * 10**12.
     """
-    budget = _RHO_BUDGET if n >= MR_EXACT_BOUND else None
+    budget = None
+    if n >= MR_EXACT_BOUND:
+        budget = _RHO_BUDGET * _RHO_BUDGET_BITS**2 // max(_RHO_BUDGET_BITS, n.bit_length()) ** 2
     steps = 0
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1

@@ -71,6 +71,12 @@ class MembershipWitness:
             "verified": True,
         }
 
+    def __str__(self) -> str:
+        return (
+            f"{pretty_print(self.expr)} = {self.target} in BS({self.m},{self.n}); "
+            f"value lies in gamma_{self.depth} (verified)"
+        )
+
 
 def _verified(p: BSParams, expr: CommExpr, target: Word, depth: int,
               max_bits: int | None = None) -> MembershipWitness:
@@ -152,6 +158,12 @@ class OmegaStabilityReport:
             **json_fields(self),
             "note": "stable under [., G] on generators; evidence, not proof",
         }
+
+    def __str__(self) -> str:
+        return (
+            f"BS({self.m},{self.n}): {self.identity}; "
+            "stable under [., G] on generators (evidence, not proof)"
+        )
 
 
 def omega_stability_check(p: BSParams, max_bits: int | None = None) -> OmegaStabilityReport:

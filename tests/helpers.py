@@ -468,3 +468,136 @@ def reference_certificate_json(c) -> dict:
         "i": c.i,
         "gamma_sizes": list(c.gamma_sizes),
     }
+
+
+# The text of each report, as the bs handlers built it before each report
+# type rendered its own text with __str__.
+
+
+def _bool(v: bool) -> str:
+    return "true" if v else "false"
+
+
+def reference_class_text(rep) -> str:
+    rp = rep.residually_p
+    lines = [
+        f"BS({rep.m},{rep.n}) canonical ({rep.canonical[0]},{rep.canonical[1]})",
+        f"abelianization: {rep.abelianization}",
+        f"residually finite: {_bool(rep.residually_finite)}",
+        f"residually p: {rp} ({rp.condition})",
+        f"residually nilpotent: {_bool(rep.residually_nilpotent)}",
+        f"residually torsion-free nilpotent: {_bool(rep.residually_torsionfree_nilpotent)}",
+        f"lcs length: {rep.lcs_length}",
+        f"gamma_omega: {rep.gamma_omega}",
+    ]
+    if rep.class_diffs.strict:
+        lines.append(f"strict class difference: {rep.class_diffs.strict}")
+    return "\n".join(lines)
+
+
+def reference_sweep_row(rep) -> list[str]:
+    from bsgroups.classify import prop5_chain
+
+    return [
+        str(rep.m),
+        str(rep.n),
+        str(rep.canonical[0]),
+        str(rep.canonical[1]),
+        rep.abelianization,
+        _bool(rep.residually_finite),
+        str(rep.residually_p),
+        _bool(rep.residually_nilpotent),
+        _bool(rep.residually_torsionfree_nilpotent),
+        rep.lcs_length,
+        str(rep.gamma_omega),
+        str(prop5_chain(rep.m, rep.n).case),
+    ]
+
+
+def reference_chain_text(rep) -> str:
+    lines = [f"BS({rep.m},{rep.n}) case {rep.case}", "chain: " + " >= ".join(rep.chain)]
+    lines += [f"{q} = {v}" for q, v in rep.quotients]
+    lines += [f"note: {t}" for t in rep.notes]
+    return "\n".join(lines)
+
+
+def reference_witness_text(w) -> str:
+    data = w.to_json_dict()
+    return (
+        f"{data['expr']} = {data['target']} in BS({w.m},{w.n}); "
+        f"value lies in gamma_{w.depth} (verified)"
+    )
+
+
+def reference_omega_text(rep) -> str:
+    return (
+        f"BS({rep.m},{rep.n}): {rep.identity}; "
+        "stable under [., G] on generators (evidence, not proof)"
+    )
+
+
+def reference_probe_text(rep) -> str:
+    return (
+        f"d={rep.d} K={rep.K}: checked {rep.checked} reduced words "
+        f"(skipped {rep.skipped_empty} empty), nontrivial {rep.nontrivial}, "
+        f"{'OK' if rep.ok else 'FAILURES: ' + '; '.join(rep.failures)}"
+    )
+
+
+def reference_certificate_text(cert) -> str:
+    """The certificate's lines of `bs oracle certify`, all but `re-verified:`."""
+    return f"{cert.statement}\ngamma sizes: {list(cert.gamma_sizes)}"
+
+
+
+def reference_probe_words(d: int, K: int, trials: int, max_len: int, seed: int):
+    """The basis words free_subgroup_probe sampled when it listed every
+    letter (k, s) and drew with rng.choice: the oracle for its draw by index."""
+    from random import Random
+
+    rng = Random(seed)
+    letters = [(k, s) for k in range(-K, K + 1) if k != 0 for s in range(1, d)]
+    words = []
+    for _ in range(trials):
+        length = rng.randint(0, max_len)
+        tokens: list[tuple[int, int, int]] = []
+        while len(tokens) < length:
+            k, s = rng.choice(letters)
+            sign = rng.choice((1, -1))
+            if tokens and tokens[-1] == (k, s, -sign):
+                continue
+            tokens.append((k, s, sign))
+        if tokens:
+            words.append(tuple(tokens))
+    return words
+
+
+def reference_quotient_family(m: int, n: int, budget) -> list:
+    """finquot.quotient_family as it was when it formed each order p^(k+j),
+    or p^(e p^j + j), before comparing it with the cap: the oracle for the
+    family that compares exponents."""
+    from math import gcd
+
+    from bsgroups.finquot import Wreath, _semidirect_primes
+    from bsgroups.intmath import prime_factors, valuation
+
+    d = gcd(abs(m), abs(n))
+    out: list = []
+    for p in _semidirect_primes(m, n):
+        for k in range(1, budget.k_max + 1):
+            pk = p**k
+            u = n * pow(m, -1, pk) % pk
+            if u % p != 1:
+                continue
+            j_min = next(j for j in itertools.count(1) if pow(u, p**j, pk) == 1)
+            for j in range(j_min, budget.j_max + 1):
+                if p ** (k + j) <= budget.order_cap:
+                    out.append(Semidirect(p, k, j, u))
+    for p in prime_factors(d):
+        for e in range(1, valuation(d, p) + 1):
+            for j in range(1, budget.j_max + 1):
+                q = Wreath(p, e, j)
+                if q.order <= budget.order_cap:
+                    out.append(q)
+    out.sort(key=lambda q: q.order)
+    return out

@@ -158,6 +158,21 @@ def test_quot_image_additive_and_kernel():
         assert gamma_quot_image(n, i, deeper) == 0
 
 
+def test_quot_image_of_the_identity_at_any_depth():
+    # the identity lies in every term and maps to 0; (n-1)^(i-1) is not formed
+    start = time.perf_counter()
+    for n in (4, -1, 3, -7, 10**30):
+        for g in (IDENTITY, to_affine(n, parse_word("a A")), to_affine(n, parse_word("[t, T]"))):
+            assert gamma_quot_image(n, 10**9, g) == 0
+    assert time.perf_counter() - start < 1.0
+    # any other element still answers below its weight and is refused past it
+    g = to_affine(4, parse_word("a^9"))
+    assert lcs_weight(4, g) == Weight.finite(3)
+    assert gamma_quot_image(4, 3, g) == 1
+    with pytest.raises(DomainError, match="below gamma_1000000000"):
+        gamma_quot_image(4, 10**9, g)
+
+
 def test_quot_image_preconditions():
     with pytest.raises(DomainError):
         gamma_quot_image(2, 2, IDENTITY)

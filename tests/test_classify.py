@@ -1,17 +1,25 @@
 import pytest
 
+import bsgroups.freeprod as freeprod
 from bsgroups.britton import BSParams
-from bsgroups.classify import canonical_form, classify, prop5_chain
+from bsgroups.classify import SWEEP_COLUMNS, canonical_form, classify, prop5_chain, sweep_csv
 from bsgroups.errors import DomainError
-from bsgroups.freeprod import free_subgroup_probe, r_generators
+from bsgroups.freeprod import ProbeReport, free_subgroup_probe, r_generators
 from bsgroups.words import parse_word
 
 from helpers import (
     assert_same_json,
     reference_chain_json,
+    reference_chain_text,
     reference_class_json,
+    reference_class_text,
     reference_probe_json,
+    reference_probe_text,
+    reference_probe_words,
+    reference_sweep_row,
 )
+
+PROBE_GRID = ((2, 4, 3), (6, 6, 2), (4, -6, 1), (3, 9, 2))
 
 GRID = [(m, n) for m in range(1, 9) for n in range(-8, 9) if n != 0]
 
@@ -131,6 +139,24 @@ def test_report_json_matches_hand_written_json():
             assert_same_json(chain.to_json_dict(), reference_chain_json(chain))
 
 
+def test_report_text_matches_handler_text():
+    signed = [x for x in range(-12, 13) if x != 0]
+    rows, want = [], []
+    for m in signed:
+        for n in signed:
+            rep = classify(m, n)
+            assert str(rep) == reference_class_text(rep)
+            rows.append(rep.csv_row())
+            want.append(reference_sweep_row(rep))
+            assert list(rows[-1].values()) == want[-1]
+            chain = prop5_chain(m, n)
+            assert str(chain) == reference_chain_text(chain)
+    assert all(list(row) == SWEEP_COLUMNS for row in rows)
+    lines = [",".join(SWEEP_COLUMNS)] + [",".join(row) for row in want]
+    assert sweep_csv(rows) == "\n".join(lines)
+    assert sweep_csv(rows[:1]) == "\n".join(lines[:2])
+
+
 def test_prop5_cases_frozen():
     assert prop5_chain(2, 6).case == 1
     assert prop5_chain(2, 5).case == 2
@@ -198,7 +224,7 @@ def test_free_subgroup_probe():
 
     d = rep.to_json_dict()
     assert d["ok"] is True and d["failures"] == []
-    for m, n, K in ((2, 4, 3), (6, 6, 2), (4, -6, 1), (3, 9, 2)):
+    for m, n, K in PROBE_GRID:
         rep = free_subgroup_probe(BSParams(m, n), K=K, trials=20, max_len=4, seed=m)
         assert_same_json(rep.to_json_dict(), reference_probe_json(rep))
 
@@ -206,3 +232,37 @@ def test_free_subgroup_probe():
         free_subgroup_probe(BSParams(1, 2))
     with pytest.raises(DomainError):
         free_subgroup_probe(p, K=0)
+
+
+def test_probe_text_matches_handler_text():
+    for m, n, K in PROBE_GRID:
+        rep = free_subgroup_probe(BSParams(m, n), K=K, trials=20, max_len=4, seed=m)
+        assert str(rep) == reference_probe_text(rep)
+    # a failing probe lists its failures
+    rep = ProbeReport(2, 1, 3, 2, 2, 0, 1, ("[t, a] is trivial", "[a, t] is trivial"))
+    assert str(rep) == reference_probe_text(rep)
+    assert str(rep).endswith("FAILURES: [t, a] is trivial; [a, t] is trivial")
+
+
+def test_probe_draws_the_letters_it_drew_from_a_list(monkeypatch):
+    drawn = []
+    lift = freeprod.lift_basis
+
+    def recording_lift(p, bw):
+        drawn.append(bw.tokens)
+        return lift(p, bw)
+
+    monkeypatch.setattr(freeprod, "lift_basis", recording_lift)
+    for m, n, K, trials, max_len, seed in (
+        (2, 4, 3, 60, 5, 5), (6, 6, 2, 40, 4, 6), (4, -6, 1, 30, 6, 4), (9, 18, 4, 50, 3, 0),
+        (2, -2, 5, 40, 7, 11), (12, 12, 2, 40, 6, 7),
+    ):
+        drawn.clear()
+        free_subgroup_probe(BSParams(m, n), K, trials, max_len, seed)
+        assert drawn == reference_probe_words(BSParams(m, n).d, K, trials, max_len, seed)
+
+
+def test_probe_answers_at_any_d():
+    # the letters are drawn by index, never listed: d = 10^30 costs what d = 2 does
+    rep = free_subgroup_probe(BSParams(10**30, 10**30), K=20, trials=20, max_len=20, seed=3)
+    assert rep.ok and rep.d == 10**30 and rep.checked + rep.skipped_empty == 20

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bsgroups.cli import SWEEP_COLUMNS, run
+from bsgroups.classify import SWEEP_COLUMNS
+from bsgroups.cli import run
 from bsgroups.words import decimal
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -331,6 +337,38 @@ def test_classify_factors_large_n(capsys):
     assert code == 0 and out.splitlines()[1].split(",")[6] == "998244353;1000000007"
 
 
+def test_budget_repros_answer_at_once(capsys):
+    # sizes past a cap are refused by their exponents, the identity's image is
+    # 0 at any depth, and a failed rho search is charged for the cofactor size
+    cases = [
+        (["oracle", "certify", "-m", "2", "-n", "4", "-i", "3", "-j", "40", "a^2"], 0,
+         "inconclusive: no quotient in the budgeted family separates the element"),
+        (["oracle", "certify", "-m", "1", "-n", "3", "-i", "3", "-k", "3000", "a^2"], 0,
+         "image (2, 0) of the element in Z_4 x|_3 Z_2 lies outside gamma_3(Q), "
+         "hence the element lies outside gamma_3(BS(1,3))"),
+        (["oracle", "build", "-m", "2", "-n", "4", "--family", "wreath",
+          "-p", "3", "-k", "1", "-j", "25"], 1,
+         "error: wreath order 3^(1 * 3^25 + 25) exceeds the construction cap"),
+        (["quot-image", "-n", "4", "-i", "30000000", "a A"], 0, "0"),
+        (["quot-image", "-n", "4", "-i", "1000000000", "a A"], 0, "0"),
+    ]
+    for argv, want_code, first_line in cases:
+        start = time.perf_counter()
+        code, out, err = _run(capsys, argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == want_code
+        if code == 1:
+            _assert_one_line_error(code, err)
+            assert err.rstrip("\n") == first_line
+        else:
+            assert out.splitlines()[0] == first_line
+    start = time.perf_counter()
+    code, _, err = _run(capsys, ["classify", "-m", "1", "-n", str(7**2000 + 2)])
+    assert time.perf_counter() - start < 3.0
+    _assert_one_line_error(code, err)
+    assert "Pollard rho steps" in err
+
+
 def test_env_bit_cap(monkeypatch, capsys):
     monkeypatch.setenv("BS_MAX_BITS", "16")
     code, _, err = _run(capsys, ["normalize", "-m", "1", "-n", "2", "t^-40 a t^40"])
@@ -345,3 +383,87 @@ def test_env_bit_cap(monkeypatch, capsys):
     code, _, err = _run(capsys, ["normalize", "-m", "2", "-n", "3", "a"])
     _assert_one_line_error(code, err)
     assert "BS_MAX_BITS" in err
+
+
+def test_max_bits_only_where_the_handler_reads_it(capsys):
+    capped = [
+        ["normalize"], ["eq"], ["weight"], ["quot-image"],
+        ["witness", "lemma2"], ["witness", "member"], ["witness", "omega"], ["oracle", "certify"],
+    ]
+    uncapped = [["classify"], ["chain"], ["rgen"], ["fsub-probe"], ["oracle", "build"], ["sweep"]]
+    for sub in capped + uncapped:
+        code, out, _ = _run(capsys, [*sub, "--help"])
+        assert code == 0 and ("--max-bits" in out) == (sub in capped), sub
+    code, _, err = _run(capsys, ["classify", "--max-bits", "5", "-m", "6", "-n", "6"])
+    assert code == 2 and "unrecognized arguments: --max-bits 5" in err
+
+
+# A fuzz of the whole command line, in process: every argv ends in exit 0,
+# in exit 1 with one `error:` line, or in a usage error (exit 2), and never
+# in a traceback or an unbounded run.
+
+_INTS = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from([
+        0, 1, -1, 2, 200, 201, 2**31, 2**63, 10**6, 10**7, 10**24, 10**30, -(10**30),
+        3_317_044_064_679_887_385_961_981,
+    ]),
+    st.integers(-(10**30), 10**30),
+)
+# Work linear in these by design, so they stay at or below 20.
+_COUNTS = st.one_of(st.integers(-3, 20), st.integers(-(10**30), 20))
+_TEXT = st.text(alphabet="aAtT^-0123456789[](), ", max_size=30)
+
+# (subcommand, its integer options, its count options, how many word arguments)
+_COMMANDS = [
+    (["normalize"], ["-m", "-n", "--max-bits"], [], 1),
+    (["eq"], ["-m", "-n", "--max-bits"], [], 2),
+    (["weight"], ["-n", "--max-bits"], [], 1),
+    (["quot-image"], ["-n", "-i", "--max-bits"], [], 1),
+    (["classify"], ["-m", "-n"], [], 0),
+    (["chain"], ["-m", "-n"], [], 0),
+    (["witness", "lemma2"], ["-m", "-n", "-i", "--max-bits"], [], 0),
+    (["witness", "member"], ["-m", "-n", "-s", "--max-bits"], [], 1),
+    (["witness", "omega"], ["-m", "-n", "--max-bits"], [], 0),
+    (["rgen"], ["-m", "-n"], ["-K"], 0),
+    (["fsub-probe"], ["-m", "-n", "--seed"], ["-K", "--trials", "--max-len"], 0),
+    (["oracle", "build"], ["-m", "-n", "-p", "-k", "-j"], [], 0),
+    (["oracle", "certify"], ["-m", "-n", "-i", "-k", "-j", "--max-bits"], [], 1),
+    (["sweep"], [], ["--m-max", "--n-max"], 0),
+]
+
+
+@st.composite
+def _argv(draw):
+    sub, ints, counts, words = draw(st.sampled_from(_COMMANDS))
+    argv = list(sub)
+    for flag, values in [(f, _INTS) for f in ints] + [(f, _COUNTS) for f in counts]:
+        # --max-bits is optional; so is each option of fsub-probe, oracle certify and sweep
+        if flag != "--max-bits" or draw(st.booleans()):
+            argv += [flag, str(draw(values))]
+    argv += [draw(_TEXT) for _ in range(words)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=30))
+@given(_argv())
+@example(["oracle", "certify", "-m", "2", "-n", "4", "-i", "3", "-j", "40", "a^2"])
+@example(["oracle", "certify", "-m", "1", "-n", "3", "-i", "3", "-k", "3000", "a^2"])
+@example(["oracle", "build", "-m", "2", "-n", "4", "--family", "wreath",
+          "-p", "3", "-k", "1", "-j", "25"])
+@example(["quot-image", "-n", "4", "-i", "30000000", "a A"])
+@example(["quot-image", "-n", "4", "-i", "1000000000", "a A"])
+@example(["classify", "-m", "1", "-n", str(7**2000 + 2)])
+@example(["fsub-probe", "-m", "10000000", "-n", "10000000", "-K", "14", "--trials", "14"])
+@example(["fsub-probe", "-m", "5", "-n", "5", "-K", "5", "--trials", "9", "--max-len", "-1"])
+def test_fuzz_command_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

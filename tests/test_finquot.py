@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from bsgroups.finquot import (
     fq_gamma_series,
     quotient_family,
 )
-from bsgroups.intmath import valuation
+from bsgroups.intmath import prime_factors, valuation
 from bsgroups.words import parse_word, power
 
 from helpers import (
@@ -34,9 +35,16 @@ from helpers import (
     multiplicative_order,
     rand_word,
     reference_certificate_json,
+    reference_certificate_text,
+    reference_quotient_family,
 )
 
 DEFAULT_ORDER_CAP = SearchBudget().order_cap
+CERT_GRID = list(itertools.product(
+    ((1, 3), (1, 5), (2, 4), (2, -2), (6, 6), (3, -5), (2, 6), (4, 8)),
+    ("a", "a^2", "a^4", "[a, t]", "t a^2 T a", "[[a, t], t]"),
+    range(2, 6),
+))
 
 
 def test_build_semidirect_examples():
@@ -235,6 +243,48 @@ def test_family_respects_budget():
     assert quotient_family(2, 3) == []  # |n - m| = 1 and gcd = 1: nothing fits
 
 
+# The groups of the certify benchmark and of the CLI goldens.
+FAMILY_GROUPS = [
+    (1, 3), (1, 4), (2, 4), (2, -2), (5, 10),
+    (1, -999962000356), (1, -5), (1, -1), (1, 2), (1, 9999399974), (1, 999962000358),
+    (2, -4), (2, -3), (2, 3), (2, 5), (2, 6), (6, 6), (999962000357, -999962000357),
+]
+
+
+def test_family_matches_the_family_that_formed_every_order():
+    for (m, n), cap in itertools.product(FAMILY_GROUPS, (1, 100, 10**6, 10**9)):
+        for k_max, j_max in itertools.product(range(9), range(7)):
+            # the old family formed p^(e p^j + j) for each p | gcd(m, n), which
+            # never ends for p = 999962000357 and j >= 1
+            if any(p**j_max > 10**4 for p in prime_factors(math.gcd(m, n))):
+                continue
+            budget = SearchBudget(k_max, j_max, cap)
+            assert quotient_family(m, n, budget) == reference_quotient_family(m, n, budget)
+
+
+def test_sizes_past_the_cap_are_refused_without_forming_them():
+    start = time.perf_counter()
+    # |Z_2 wr Z_2^40| = 2^(2^40 + 40) and p^(3000 + j) are compared as exponents
+    assert quotient_family(2, 4, SearchBudget(j_max=40)) == quotient_family(2, 4)
+    assert quotient_family(1, 3, SearchBudget(k_max=3000)) == quotient_family(
+        1, 3, SearchBudget(k_max=20)
+    )
+    huge = 10**30
+    assert quotient_family(2, 4, SearchBudget(huge, huge, huge)) == quotient_family(
+        2, 4, SearchBudget(100, 100, huge)
+    )
+    for build in (
+        lambda: build_wreath(3, 1, 25),
+        lambda: build_wreath(2, 1, huge),
+        lambda: build_wreath(2, huge, 1),
+        lambda: build_semidirect(2, huge, 1, 1, 3),
+        lambda: build_semidirect(2, 1, huge, 1, 3),
+    ):
+        with pytest.raises(DomainError, match="construction cap"):
+            build()
+    assert time.perf_counter() - start < 1.0
+
+
 def test_family_starts_at_the_p_part_of_the_order_of_u():
     # m = 1, n = u puts u itself on the action; its order mod p^k is a power of p
     for p, k_max in ((2, 8), (3, 5), (5, 3), (7, 3)):
@@ -318,15 +368,23 @@ def test_certificate_json_schema():
 
 
 def test_certificate_json_matches_hand_written_json():
-    groups = ((1, 3), (1, 5), (2, 4), (2, -2), (6, 6), (3, -5), (2, 6), (4, 8))
-    words = ("a", "a^2", "a^4", "[a, t]", "t a^2 T a", "[[a, t], t]")
     kinds = set()
-    for (m, n), text, i in itertools.product(groups, words, range(2, 6)):
+    for (m, n), text, i in CERT_GRID:
         cert = certify_not_in_gamma(m, n, parse_word(text), i)
         if cert is None:
             continue
         kinds.add(type(cert.quotient))
         assert_same_json(cert.to_json_dict(), reference_certificate_json(cert))
+    assert kinds == {Semidirect, Wreath}
+
+
+def test_certificate_text_matches_handler_text():
+    kinds = set()
+    for (m, n), text, i in CERT_GRID:
+        cert = certify_not_in_gamma(m, n, parse_word(text), i)
+        if cert is not None:
+            kinds.add(type(cert.quotient))
+            assert str(cert) == reference_certificate_text(cert)
     assert kinds == {Semidirect, Wreath}
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -33,3 +34,17 @@ def test_unsplittable_cofactor_is_a_domain_error():
         prime_factors(p)
     with pytest.raises(DomainError):
         prime_factors(p * (2**61 - 1))  # both factors too large for the rho budget
+
+
+def test_rho_budget_charges_for_the_cofactor_size():
+    # up to 128 bits a cofactor gets 2^20 steps, as before
+    p, q = 1125899906842679, 1125899906854711  # primes just above 2^50
+    with pytest.raises(DomainError, match="within 1048576 Pollard rho steps"):
+        prime_factors(p * q)
+    # past 128 bits a step costs the square of the size in 128-bit units, so a
+    # search that fails takes about the same time at any size
+    for k in (100, 400):  # 281 and 1123 bits; test_cli runs 5615 bits through bs classify
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="Pollard rho steps"):
+            prime_factors(7**k + 1)
+        assert time.perf_counter() - start < 3.0, k

@@ -11,7 +11,14 @@ from bsgroups.witness import (
 )
 from bsgroups.words import MAX_NESTING, Commutator, Gen, Power, Product, eval_expr, parse_expr, parse_word, pretty_print
 
-from helpers import assert_same_json, reference_omega_json
+from helpers import (
+    assert_same_json,
+    reference_omega_json,
+    reference_omega_text,
+    reference_witness_text,
+)
+
+OMEGA_GRID = ((2, 3), (1, 2), (2, 4), (4, 6), (4, 2), (-3, -4), (3, 6))
 
 
 def test_comm_depth():
@@ -137,7 +144,7 @@ def test_omega_stability():
     d = rep.to_json_dict()
     assert d["verified"] is True and "evidence" in d["note"]
 
-    for m, n in ((2, 3), (1, 2), (2, 4), (4, 6), (4, 2), (-3, -4), (3, 6)):
+    for m, n in OMEGA_GRID:
         rep = omega_stability_check(BSParams(m, n))
         assert_same_json(rep.to_json_dict(), reference_omega_json(rep))
 
@@ -149,3 +156,17 @@ def test_omega_stability_preconditions():
         omega_stability_check(BSParams(6, 12))  # strict containment
     with pytest.raises(DomainError):
         omega_stability_check(BSParams(6, 6))  # unknown
+
+
+def test_witness_text_matches_handler_text():
+    for m, n in ((2, 3), (2, 5), (3, -3), (1, 2), (-2, 3), (4, 6), (3, -5)):
+        for i in (1, 2, 3, 5):
+            w = lemma2_witness(BSParams(m, n), i)
+            assert str(w) == reference_witness_text(w)
+    for m, n in ((2, 3), (2, 4), (3, 4), (4, 6), (1, 2), (6, 9)):
+        for s in (2, 3, 5):
+            w = gamma_membership_witness(BSParams(m, n), parse_word(f"a^{n - m}"), s)
+            assert str(w) == reference_witness_text(w)
+    for m, n in OMEGA_GRID:
+        rep = omega_stability_check(BSParams(m, n))
+        assert str(rep) == reference_omega_text(rep)

@@ -13,7 +13,9 @@ Normalization pushes a-power multiples leftward through t letters,
     t^-1 a^{m q + r} -> a^{n q} t^-1 a^r      (0 <= r < |m|)
     t    a^{n q + r} -> a^{m q} t    a^r      (0 <= r < |n|)
 
-and cancels pinches as they surface.  Two words are equal in BS(m, n) exactly
+and cancels pinches as they surface.  Each reduction is one divmod by |m| or
+|n|; its quotient times n or m, signed once per call by the sign of m or n,
+is the carry.  Two words are equal in BS(m, n) exactly
 when their canonical forms coincide, for any nonzero m, n (no parameter
 canonicalization happens here).  Exponents can grow like n^k, so every
 addition is bit-capped.
@@ -42,7 +44,6 @@ from itertools import chain
 from math import gcd
 
 from .errors import DomainError, ExponentCapExceeded
-from .intmath import euclid_divmod
 from .words import ExpSums, Group, Word, decimal, exp_sums, resolve_max_bits
 from . import words
 from .words import _check_cap, _check_size
@@ -92,23 +93,23 @@ class BrittonNF:
         return " ".join(parts) if parts else "1"
 
 
-def _reduce(m: int, n: int, eps: int, r: int) -> tuple[int, int]:
-    """t^eps a^r = a^carry t^eps a^rem with rem canonical; returns (rem, carry)."""
-    if eps < 0:
-        q, rem = euclid_divmod(r, m)
-        return rem, n * q
-    q, rem = euclid_divmod(r, n)
-    return rem, m * q
+def _carry_factors(m: int, n: int) -> tuple[int, int]:
+    """(fm, fn) with t^-1 a^(|m| q) = a^(fm q) t^-1 and t a^(|n| q) = a^(fn q) t."""
+    return (n if m > 0 else -n), (m if n > 0 else -m)
 
 
 def _settle(m: int, n: int, st: list, lo: int, cap: int) -> None:
     """The final pass: settle the deferred carries from the top down."""
+    am, an = abs(m), abs(n)
+    fm, fn = _carry_factors(m, n)
     carry = 0
     for i in range(len(st) - 1, 0, -1):
         eps, r = st[i]
-        rem, carry = _reduce(m, n, eps, _check_cap(r + carry, cap) if carry else r)
+        mod, f = (am, fm) if eps < 0 else (an, fn)
+        q, rem = divmod(_check_cap(r + carry, cap) if carry else r, mod)
         if rem != r:
             st[i] = (eps, rem)
+        carry = q * f
         if carry == 0 and i <= lo:
             return
     st[0] = (0, _check_cap(st[0][1] + carry, cap))
@@ -117,6 +118,7 @@ def _settle(m: int, n: int, st: list, lo: int, cap: int) -> None:
 def _scan(m: int, n: int, st: list, lo: int, syllables, cap: int) -> None:
     """Read syllables onto the stack [(0, r0), (eps, r), ...], then settle it."""
     am, an = abs(m), abs(n)
+    fm, fn = _carry_factors(m, n)
     # The top entry lives in (eps, r) and st holds the entries below it, so
     # the full stack is st + [(eps, r)] and its length is len(st) + 1.
     eps, r = st.pop()
@@ -130,11 +132,16 @@ def _scan(m: int, n: int, st: list, lo: int, syllables, cap: int) -> None:
         s, k = (1, e) if e > 0 else (-1, -e)
         while st:
             # canonicalize the top only; its carry waits in the entry below
-            if not 0 <= r < (am if eps < 0 else an):
-                r, carry = _reduce(m, n, eps, r)
-                below = st[-1]
-                st[-1] = (below[0], _check_cap(below[1] + carry, cap))
-                lo = min(lo, max(len(st) - 1, 1))  # st[0] is never settled
+            mod, f = (am, fm) if eps < 0 else (an, fn)
+            if not 0 <= r < mod:
+                q, r = divmod(r, mod)
+                below_eps, below_r = st[-1]
+                below_r += q * f
+                if below_r.bit_length() > cap:
+                    raise ExponentCapExceeded(below_r.bit_length(), cap)
+                st[-1] = (below_eps, below_r)
+                if len(st) <= lo:
+                    lo = len(st) - 1 or 1  # st[0] is never settled
             if not k or r or eps != -s:
                 break
             eps, r = st.pop()

@@ -1,4 +1,4 @@
-"""Small integer helpers: Euclidean division, factoring, valuations.
+"""Small integer helpers: factoring and valuations.
 
 Factoring is trial division by small numbers, then Brent-Pollard rho
 (Pollard, BIT 15, 1975) with deterministic Miller-Rabin, exact below
@@ -11,17 +11,6 @@ import itertools
 from math import gcd
 
 from .errors import DomainError
-
-
-def euclid_divmod(e: int, d: int) -> tuple[int, int]:
-    """Return (q, r) with e = d*q + r and 0 <= r < |d|.
-
-    Unlike divmod(), the remainder is canonical for negative d too.
-    """
-    if d == 0:
-        raise ZeroDivisionError("euclid_divmod with zero divisor")
-    r = e % abs(d)
-    return (e - r) // d, r
 
 
 # Prime factors below this bound are found by trial division; larger ones
@@ -57,14 +46,15 @@ def prime_factors(n: int) -> dict[int, int]:
             out[f] = out.get(f, 0) + 1
             n //= f
         f += 1
-    todo = [n] if n > 1 else []
-    while todo:
-        c = todo.pop()
-        if c < f * f or _is_prime_cofactor(c):  # c has no factor below f
-            out[c] = out.get(c, 0) + 1
-        else:
-            d = _rho(c)
-            todo += [d, c // d]
+    # n has no factor below f now.  Each distinct cofactor is tested once: a
+    # composite one is split by rho down to a prime, whose powers all go at once.
+    while n > 1:
+        p = n
+        while not (p < f * f or _is_prime_cofactor(p)):
+            p = _rho(p)
+        e = valuation(n, p)
+        out[p] = e
+        n //= p**e
     return out
 
 

@@ -15,6 +15,8 @@ Conventions used by the whole package:
     brackets nest at most MAX_NESTING = 200 levels deep.  The parser reads a
     run of generator letters, with the power that may follow its last
     letter, in one regex match, and gives every letter a shared node.
+    parse_word reads a text with no bracket or parenthesis straight to
+    syllables with the same regex, and builds no tree.
 
 An expression is evaluated in any Group: a run of generator powers goes to
 the group as one free word, and the values of a product's factors are
@@ -59,6 +61,11 @@ _SPACES = re.compile(r"\s+")
 # may follow it and binds to the last letter only.  An exponent without
 # digits leaves group 4 empty, and the parser reports it from the caret on.
 _RUN = re.compile(r"\s*([aAtT]+)(?:\s*(\^)\s*(-?)([0-9]+)?)?")
+# A bracket-free text read in one findall pass: each match is the run the
+# parser reads at that place, or else the whitespace and the one character
+# after it (group 5, empty only at the end of the text).  Every place matches,
+# so findall never searches ahead and the matches tile the text.
+_FLAT = re.compile(rf"{_RUN.pattern}|\s*(\S|\Z)")
 
 
 def resolve_max_bits(value: int | None = None) -> int:
@@ -109,6 +116,12 @@ def _check_cap(x: int, cap: int) -> int:
 
 def _int_literal(sign: str, digits: str, cap: int) -> int:
     """Value of an exponent literal: sign "" or "-", then ASCII digits."""
+    # A literal under 10^18 within the cap converts at once; any other takes
+    # the checks below, which also word the error.
+    if len(digits) < 19:
+        value = int(digits)
+        if value.bit_length() <= cap:
+            return -value if sign else value
     # Leading zeros are dropped before converting: decimal() of a long zero
     # run would still build powers of ten as long as the run.
     body = digits.lstrip("0") or "0"
@@ -285,13 +298,10 @@ class Conjugate(_Node):
 
 CommExpr = Gen | Power | Product | Commutator | Conjugate
 
-# The nodes of the four letters, shared by every parse: nodes are immutable.
-_LETTERS = {
-    "a": Gen("a"),
-    "t": Gen("t"),
-    "A": Power(Gen("a"), -1),
-    "T": Power(Gen("t"), -1),
-}
+# The syllable of each letter, and its node, shared by every parse: nodes are
+# immutable.
+_SYLLABLES = {"a": ("a", 1), "A": ("a", -1), "t": ("t", 1), "T": ("t", -1)}
+_LETTERS = {c: Gen(g) if e == 1 else Power(Gen(g), e) for c, (g, e) in _SYLLABLES.items()}
 
 
 class _Parser:
@@ -535,8 +545,41 @@ def eval_expr(expr: CommExpr, max_bits: int | None = None) -> Word:
     return evaluate(free_group(resolve_max_bits(max_bits)), expr)
 
 
+def _flat_word(text: str, cap: int) -> Word | None:
+    """The Word of a text of generator runs only, or None for any other text.
+
+    Literals are read in text order, so an over-cap literal raises here
+    exactly where the parser would; a text with any other fault is left to
+    the parser to report.
+    """
+    pairs: list[tuple[str, int]] = []
+    syllable = _SYLLABLES.__getitem__
+    for letters, caret, sign, digits, other in _FLAT.findall(text):
+        if caret:
+            if not digits:
+                return None
+            pairs += map(syllable, letters[:-1])
+            gen, e = syllable(letters[-1])
+            pairs.append((gen, e * _int_literal(sign, digits, cap)))
+        elif letters:
+            pairs += map(syllable, letters)
+        elif other:
+            return None
+    return free_group(cap).word(Word.from_pairs(pairs)) if pairs else None
+
+
 def parse_word(text: str, max_bits: int | None = None) -> Word:
-    """Parse and evaluate in one go; handy for CLI and tests."""
+    """Parse and evaluate in one go; handy for CLI and tests.
+
+    A text without brackets or parentheses is read straight to syllables;
+    it is the product of its generator powers, which is what evaluating its
+    tree gives.  Any other text, or one the parser must refuse, is parsed to
+    a tree and evaluated.
+    """
+    if "(" not in text and "[" not in text:
+        word = _flat_word(text, resolve_max_bits(max_bits))
+        if word is not None:
+            return word
     return eval_expr(parse_expr(text, max_bits), max_bits)
 
 

@@ -12,7 +12,6 @@ from bsgroups.britton import BrittonNF, BSParams
 from bsgroups.errors import DomainError, ExponentCapExceeded, ParseError
 from bsgroups.finquot import FinQuot, Semidirect
 from bsgroups.freeprod import BasisWord, FreeProdWord, _emit
-from bsgroups.intmath import euclid_divmod
 from bsgroups.words import (
     MAX_NESTING,
     Commutator,
@@ -183,6 +182,12 @@ def trial_factors(n: int) -> dict[int, int]:
 # Eager Britton scan: t^e letter by letter, every carry rippled down the whole
 # stack at once.  Quadratic on deep commutators, but each step is one
 # relation; the oracle for bsgroups.britton's deferred-carry scan.
+
+
+def euclid_divmod(e: int, d: int) -> tuple[int, int]:
+    """Return (q, r) with e = d*q + r and 0 <= r < |d|, for negative d too."""
+    r = e % abs(d)
+    return (e - r) // d, r
 
 
 def _eager_letters(w: Word):

@@ -2,6 +2,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsgroups.errors import DomainError
 from bsgroups.intmath import MR_EXACT_BOUND, is_prime, prime_factors
@@ -25,6 +27,27 @@ def test_prime_factors_beyond_trial_division():
     assert prime_factors(-(1000003**2) * 12) == {2: 2, 3: 1, 1000003: 2}
     assert prime_factors(2**61 - 1) == {2**61 - 1: 1}
     assert is_prime(2**61 - 1) and not is_prime(561) and not is_prime(1)
+
+
+# The primes rho has to find: trial division takes every factor below 100.
+_RHO_PRIMES = [p for p in range(101, 10**4) if trial_factors(p) == {p: 1}]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_RHO_PRIMES), min_size=1, max_size=12), st.integers(0, 10**4))
+def test_prime_factors_of_products_of_rho_primes(primes, small):
+    n = small + 1
+    for p in primes:
+        n *= p
+    assert prime_factors(n) == trial_factors(n)
+
+
+def test_prime_powers_are_divided_out_at_once():
+    # each distinct cofactor gets one Miller-Rabin test, not one per rho split
+    start = time.perf_counter()
+    assert prime_factors(101**400) == {101: 400}
+    assert prime_factors(101**150 * 9973**60 * 7) == {7: 1, 101: 150, 9973: 60}
+    assert time.perf_counter() - start < 1.0
 
 
 def test_unsplittable_cofactor_is_a_domain_error():

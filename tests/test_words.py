@@ -444,6 +444,63 @@ def test_parser_matches_reference_parser(text, cap):
     assert _outcome(parse_expr, text, cap) == _outcome(reference_parse_expr, text, cap)
 
 
+def _tree_word(text, cap):
+    return eval_expr(parse_expr(text, cap), cap)
+
+
+# Bracket-free texts, which parse_word reads without building a tree: the
+# oracle's texts with blanks for brackets, and runs with broken exponents and
+# junk.  A text with brackets takes the tree path itself.
+_flat_texts = st.one_of(
+    _texts.map(lambda text: text.translate(str.maketrans("()[]", "    "))),
+    _pieces(["a", "t", "A", "T", "aT", "tAt", "b", ","], _EXPONENTS + _BROKEN_EXPONENTS),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_flat_texts, st.integers(1, 40))
+def test_parse_word_matches_tree_evaluation(text, cap):
+    # the same Word, or the same error, message and position
+    assert _outcome(parse_word, text, cap) == _outcome(_tree_word, text, cap)
+
+
+@pytest.mark.parametrize(
+    "text, cap",
+    [
+        ("aa^3", 40),
+        ("AA^-2", 40),
+        ("A^-2", 40),
+        ("a^0", 40),
+        ("a^-0042", 40),
+        ("t\u00a0a^2\u3000A T^-3 \u00a0", 40),
+        ("\u3000", 40),
+        ("a^2 t^", 40),
+        ("a^5 A^5", 2),
+        ("a^3 a^3", 2),
+        ("a^" + "9" * 30, 40),
+    ],
+)
+def test_parse_word_flat_cases(text, cap):
+    assert _outcome(parse_word, text, cap) == _outcome(_tree_word, text, cap)
+
+
+def test_parse_word_flat_values():
+    assert parse_word("aa^3") == Word((("a", 4),))
+    assert parse_word("AA^-2") == Word((("a", 1),))
+    assert parse_word("A^-2") == Word((("a", 2),))
+    assert parse_word("a^0") == Word()
+    assert parse_word("a^-0042 t A") == Word((("a", -42), ("t", 1), ("a", -1)))
+    assert parse_word("t\u00a0a^2\u3000A") == Word((("t", 1), ("a", 1)))
+    with pytest.raises(ParseError) as exc:
+        parse_word("a^2 t^")
+    assert (str(exc.value), exc.value.position) == ("expected an integer (at position 6)", 6)
+    # each literal is under the cap, the reduced word is not
+    with pytest.raises(ExponentCapExceeded):
+        parse_word("a^3 a^3", 2)
+    with pytest.raises(ExponentCapExceeded):
+        parse_word("a^5 A^5", 2)  # the literal 5 is refused before anything cancels
+
+
 _letter_exprs = st.sampled_from([Gen("a"), Gen("t"), Power(Gen("a"), -1), Power(Gen("t"), -1)])
 _exprs = st.recursive(
     _letter_exprs,

@@ -46,15 +46,20 @@ def prime_factors(n: int) -> dict[int, int]:
             out[f] = out.get(f, 0) + 1
             n //= f
         f += 1
-    # n has no factor below f now.  Each distinct cofactor is tested once: a
-    # composite one is split by rho down to a prime, whose powers all go at once.
-    while n > 1:
-        p = n
-        while not (p < f * f or _is_prime_cofactor(p)):
-            p = _rho(p)
-        e = valuation(n, p)
-        out[p] = e
-        n //= p**e
+    # n has no factor below f now.  Both pieces of every rho split wait on
+    # `pending`, the smaller one on top, and each piece is tested once.  A
+    # prime takes its whole valuation in n at once and is divided out of every
+    # piece still waiting.
+    pending = [n] if n > 1 else []
+    while pending:
+        c = pending.pop()
+        if c < f * f or _is_prime_cofactor(c):
+            out[c] = 1 if c == n else valuation(n, c)
+            if pending:
+                pending = [r for r in (x // c ** valuation(x, c) for x in pending) if r > 1]
+        else:
+            d = _rho(c)
+            pending += sorted((d, c // d), reverse=True)
     return out
 
 

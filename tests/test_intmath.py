@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsgroups import intmath
 from bsgroups.errors import DomainError
 from bsgroups.intmath import MR_EXACT_BOUND, is_prime, prime_factors
 
@@ -40,6 +41,21 @@ def test_prime_factors_of_products_of_rho_primes(primes, small):
     for p in primes:
         n *= p
     assert prime_factors(n) == trial_factors(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(_RHO_PRIMES), min_size=1, max_size=8, unique=True))
+def test_rho_splits_a_product_of_k_primes_k_minus_1_times(primes):
+    # both pieces of a split are kept, so no prime has to be found twice
+    n = 1
+    for p in primes:
+        n *= p
+    splits = []
+    rho = intmath._rho
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intmath, "_rho", lambda c: splits.append(c) or rho(c))
+        assert prime_factors(n) == dict.fromkeys(primes, 1)
+    assert len(splits) == len(primes) - 1
 
 
 def test_prime_powers_are_divided_out_at_once():

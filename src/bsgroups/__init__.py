@@ -52,7 +52,7 @@ _EXPORTS = {
     ),
     "words": (
         "Commutator", "Conjugate", "Gen", "Group", "Power", "Product", "Word", "eval_expr",
-        "evaluate", "exp_sums", "gamma_weight_lower_bound", "parse_expr", "parse_word",
+        "evaluate", "evaluate_text", "exp_sums", "gamma_weight_lower_bound", "parse_expr", "parse_word",
         "power", "pretty_print",
     ),
 }

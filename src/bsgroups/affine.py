@@ -28,15 +28,14 @@ huge power is ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, ExponentCapExceeded
 from .intmath import prime_factors, valuation
 from .words import Group, Word, decimal, resolve_max_bits, _check_cap
 
 
-@dataclass(frozen=True, slots=True)
-class ZnElement:
+class ZnElement(NamedTuple):
     """Element num / n^l of Z[1/n], canonical: l == 0 or n does not divide num."""
 
     num: int
@@ -111,8 +110,7 @@ def zn_divexact_int(n: int, x: ZnElement, c: int) -> ZnElement:
     return zn_canon(n, x.num // c, x.l)
 
 
-@dataclass(frozen=True, slots=True)
-class AffineElem:
+class AffineElem(NamedTuple):
     """The affine map x -> n^k x + b with k = -sigma_t."""
 
     k: int
@@ -182,8 +180,7 @@ def canonical_word(n: int, g: AffineElem, max_bits: int | None = None) -> Word:
     return Word.from_pairs([("t", k1), ("a", l1), ("t", -r1)])
 
 
-@dataclass(frozen=True, slots=True)
-class Weight:
+class Weight(NamedTuple):
     """Position in the lower central series: gamma_index, or omega (index None)."""
 
     index: int | None

@@ -39,9 +39,9 @@ carry per step, so it may need up to 1 + bit_length(steps) bits more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from math import gcd
+from typing import NamedTuple
 
 from .errors import DomainError, ExponentCapExceeded
 from .words import ExpSums, Group, Word, decimal, exp_sums, resolve_max_bits
@@ -49,22 +49,24 @@ from . import words
 from .words import _check_cap, _check_size
 
 
-@dataclass(frozen=True, slots=True)
-class BSParams:
-    m: int
-    n: int
+class BSParams(NamedTuple("BSParams", [("m", int), ("n", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m == 0 or self.n == 0:
+    def __new__(cls, m: int, n: int):
+        if m == 0 or n == 0:
             raise DomainError("BS(m, n) requires nonzero m and n")
+        return super().__new__(cls, m, n)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check there too
+        return cls(*iterable)
 
     @property
     def d(self) -> int:
         return gcd(abs(self.m), abs(self.n))
 
 
-@dataclass(frozen=True, slots=True)
-class BrittonNF:
+class BrittonNF(NamedTuple):
     """Canonical form data: leading a-exponent plus (t-sign, a-residue) tail."""
 
     r0: int = 0
@@ -203,8 +205,7 @@ def nf_is_valid(p: BSParams, nf: BrittonNF) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class AbImage:
+class AbImage(NamedTuple):
     """Image in the abelianization Z x Z_{|n-m|} (free part from t).
 
     modulus == 0 means n = m, where the a-part stays a full integer.
@@ -212,7 +213,7 @@ class AbImage:
 
     t_part: int
     a_part: int
-    modulus: int = field(default=0)
+    modulus: int = 0
 
 
 def abelianize(p: BSParams, w: Word) -> AbImage:

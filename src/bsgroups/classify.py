@@ -25,18 +25,20 @@ guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import DomainError
 from .intmath import prime_factors, prime_power
 
 
 def json_fields(x):
-    """x as JSON: a dataclass is an object of its fields in declaration order,
-    a tuple is an array, and anything else passes through."""
-    if is_dataclass(x):
-        return {f.name: json_fields(getattr(x, f.name)) for f in fields(x)}
+    """x as JSON: a record is an object of its fields in declaration order,
+    any other tuple an array, and anything else passes through.  A record is
+    a NamedTuple, told from a plain tuple by its _fields; it also equals the
+    plain tuple of its fields and can be iterated."""
+    if hasattr(x, "_fields"):
+        return {name: json_fields(v) for name, v in x._asdict().items()}
     if isinstance(x, tuple):
         return [json_fields(v) for v in x]
     return x
@@ -65,8 +67,7 @@ def canonical_form(m: int, n: int) -> tuple[int, int]:
     return chosen.pop()
 
 
-@dataclass(frozen=True, slots=True)
-class ResiduallyP:
+class ResiduallyP(NamedTuple):
     """Primes p for which the group is residually p, with the reason."""
 
     kind: str  # "all" | "some" | "none"
@@ -85,8 +86,7 @@ class ResiduallyP:
         return self.kind != "none"
 
 
-@dataclass(frozen=True, slots=True)
-class GammaOmega:
+class GammaOmega(NamedTuple):
     """Verdict on the intersection of the lower central series."""
 
     kind: str  # "trivial" | "equals" | "contains" | "unknown"
@@ -100,8 +100,7 @@ class GammaOmega:
         return self.kind
 
 
-@dataclass(frozen=True, slots=True)
-class ClassDiffs:
+class ClassDiffs(NamedTuple):
     """Position in the chain residually-p < residually nilpotent < residually finite."""
 
     in_rf: bool
@@ -110,8 +109,7 @@ class ClassDiffs:
     strict: str | None  # "rf_not_rn" | "rn_not_rp" | None
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     m: int
     n: int
     canonical: tuple[int, int]
@@ -240,8 +238,7 @@ def classify(m: int, n: int) -> ClassReport:
     return ClassReport(m, n, (cm, cn), ab, rf, rp, rn, rtfn, lcs, go, diffs)
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """Symbolic subgroup chain between G and the commutator-relator subgroup.
 
     case 0 is degenerate: either the group is residually finite (the

@@ -14,7 +14,6 @@ bsgroups`` loads), so a ``bs`` process loads only what its subcommand needs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -27,10 +26,10 @@ _BIT_CAPPED = {"normalize", "eq", "weight", "quot-image", "lemma2", "member", "o
 
 def _cmd_normalize(args):
     from .britton import BSParams, bs_group
-    from .words import evaluate, parse_expr
+    from .words import evaluate_text
 
     G = bs_group(BSParams(args.m, args.n), args.max_bits)
-    nf = evaluate(G, parse_expr(args.word, args.max_bits))
+    nf = evaluate_text(G, args.word, args.max_bits)
     text = str(nf)
     return text, {
         "m": args.m,
@@ -44,28 +43,28 @@ def _cmd_normalize(args):
 
 def _cmd_eq(args):
     from .britton import BSParams, bs_group
-    from .words import evaluate, parse_expr
+    from .words import evaluate_text
 
     G = bs_group(BSParams(args.m, args.n), args.max_bits)
-    u = evaluate(G, parse_expr(args.word1, args.max_bits))
-    equal = u == evaluate(G, parse_expr(args.word2, args.max_bits))
+    u = evaluate_text(G, args.word1, args.max_bits)
+    equal = u == evaluate_text(G, args.word2, args.max_bits)
     return "equal" if equal else "not-equal", {"m": args.m, "n": args.n, "equal": equal}
 
 
 def _cmd_weight(args):
     from .affine import affine_group, lcs_weight
-    from .words import evaluate, parse_expr
+    from .words import evaluate_text
 
-    g = evaluate(affine_group(args.n, args.max_bits), parse_expr(args.word, args.max_bits))
+    g = evaluate_text(affine_group(args.n, args.max_bits), args.word, args.max_bits)
     w = lcs_weight(args.n, g)
     return str(w), {"n": args.n, "weight": "omega" if w.is_omega else w.index}
 
 
 def _cmd_quot_image(args):
     from .affine import affine_group, gamma_quot_image
-    from .words import evaluate, parse_expr
+    from .words import evaluate_text
 
-    g = evaluate(affine_group(args.n, args.max_bits), parse_expr(args.word, args.max_bits))
+    g = evaluate_text(affine_group(args.n, args.max_bits), args.word, args.max_bits)
     r = gamma_quot_image(args.n, args.i, g)
     return str(r), {"n": args.n, "i": args.i, "modulus": abs(args.n - 1), "image": r}
 
@@ -259,12 +258,14 @@ def run(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         text, data = args.fn(args)
-        output = json.dumps(data, indent=2) if args.json else text
+        if args.json:
+            import json  # loaded only under --json: most runs print text
+            text = json.dumps(data, indent=2)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(output + "\n")
+                fh.write(text + "\n")
         else:
-            print(output)
+            print(text)
             sys.stdout.flush()
     except BrokenPipeError:
         # The reader stopped early, as `bs sweep | head` does.  What is left

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
 from functools import lru_cache
+from typing import NamedTuple
 
 from .classify import json_fields
 from .errors import DomainError, VerificationError
@@ -50,18 +50,13 @@ def _max_exponent(p: int, cap: int) -> int:
     return e
 
 
-class _Quotient:
-    __slots__ = ()
-
-    def to_json_dict(self) -> dict:
-        """Name, prime and size exponents: k is the base exponent (e for a wreath)."""
-        # both families declare p, the base exponent and j first
-        p, k, j = (getattr(self, f.name) for f in fields(self)[:3])
-        return {"quotient": self.describe(), "p": p, "k": k, "j": j}
+def _quotient_json(q) -> dict:
+    """Name, prime and size exponents: k is the base exponent (e for a wreath)."""
+    p, k, j = q[:3]  # both families declare p, the base exponent and j first
+    return {"quotient": q.describe(), "p": p, "k": k, "j": j}
 
 
-@dataclass(frozen=True, slots=True)
-class Semidirect(_Quotient):
+class Semidirect(NamedTuple):
     """Z_{p^k} x| Z_{p^j}; elements (x, y), a -> (1, 0), t -> (0, 1).
 
     Normal form x^alpha y^beta with y^-1 x y = x^u gives the product rule
@@ -101,9 +96,10 @@ class Semidirect(_Quotient):
     def describe(self) -> str:
         return f"Z_{self.p**self.k} x|_{self.u} Z_{self.p**self.j}"
 
+    to_json_dict = _quotient_json
 
-@dataclass(frozen=True, slots=True)
-class Wreath(_Quotient):
+
+class Wreath(NamedTuple):
     """Z_{p^e} wr Z_{p^j}; elements (f, s) with f a length-p^j tuple.
 
     a -> delta at position 0, t -> shift by one.  Product rule
@@ -150,6 +146,8 @@ class Wreath(_Quotient):
     def describe(self) -> str:
         return f"Z_{self.p**self.e} wr Z_{self.p**self.j}"
 
+    to_json_dict = _quotient_json
+
 
 FinQuot = Semidirect | Wreath
 
@@ -159,11 +157,13 @@ def fq_eval(q: FinQuot, w: Word):
 
     Exponents are reduced into [-|Q|/2, |Q|/2) first, so t^-1 is one inverse.
     """
-    half = q.order // 2
+    order = q.order
+    half = order // 2
+    images = {"a": q.a_img, "t": q.t_img}
     acc = q.identity
     for g, e in w.syllables:
-        e = (e + half) % q.order - half
-        acc = q.mul(acc, power(q, q.a_img if g == "a" else q.t_img, e))
+        e = (e + half) % order - half
+        acc = q.mul(acc, power(q, images[g], e))
     return acc
 
 
@@ -257,8 +257,7 @@ def _in_span(rows: tuple[HowellRow, ...], vec, mod: int) -> bool:
     return not any(vec)
 
 
-@dataclass(frozen=True)
-class GammaChain:
+class GammaChain(NamedTuple):
     """gamma_1 > gamma_2 > ... > {id} of a finite quotient, in closed form.
 
     For i >= 2, gamma_i lies in the abelian base (the Z_{p^k} of a
@@ -339,8 +338,7 @@ def fq_gamma_series(q: FinQuot) -> GammaChain:
     return _gamma_chain(q)
 
 
-@dataclass(frozen=True, slots=True)
-class SearchBudget:
+class SearchBudget(NamedTuple):
     k_max: int = 6
     j_max: int = 4
     order_cap: int = 1_000_000
@@ -349,8 +347,7 @@ class SearchBudget:
 DEFAULT_BUDGET = SearchBudget()
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Proof that an element of BS(m, n) lies outside gamma_i.
 
     Sound because images of gamma_i(G) land in gamma_i(Q) under any

@@ -27,8 +27,8 @@ relator subgroup, and free_subgroup_probe samples reduced words in the basis
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from .britton import BSParams, abelianize, nf_equal, normalize
 from .classify import json_fields
@@ -36,8 +36,7 @@ from .errors import DomainError, VerificationError
 from .words import Commutator, Conjugate, Gen, Power, Word, _reduce_pairs, decimal, eval_expr
 
 
-@dataclass(frozen=True, slots=True)
-class FreeProdWord:
+class FreeProdWord(NamedTuple):
     """Syllable normal form in Z * Z_d: t-exponents nonzero, a-exponents in
     [1, d-1], kinds alternating."""
 
@@ -61,8 +60,7 @@ def fp_normalize(d: int, w) -> FreeProdWord:
     return FreeProdWord(d, tuple(_reduce_pairs(w.syllables if isinstance(w, Word) else w, d)))
 
 
-@dataclass(frozen=True, slots=True)
-class BasisWord:
+class BasisWord(NamedTuple):
     """Freely reduced product of basis commutators [t^k, a^l]^sign."""
 
     d: int
@@ -132,8 +130,7 @@ def lift_basis(p: BSParams, bw: BasisWord) -> Word:
     return Word.from_pairs(pairs)
 
 
-@dataclass(frozen=True, slots=True)
-class CentralSplit:
+class CentralSplit(NamedTuple):
     """gamma_2 coordinates for BS(m, +-m): g = a^(2mc) * lift(basis).
 
     For BS(m, m) the central part is always trivial (c = 0).
@@ -178,8 +175,7 @@ def r_generators(p: BSParams, K: int) -> list[Word]:
     return [eval_expr(Commutator(x, a)) for x in conjugates]
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     d: int
     K: int
     trials: int

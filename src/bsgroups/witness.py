@@ -19,8 +19,8 @@ against Britton normal forms before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .britton import BSParams, bs_group
 from .classify import classify, json_fields
@@ -53,8 +53,7 @@ def comm_depth(expr: CommExpr) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class MembershipWitness:
+class MembershipWitness(NamedTuple):
     """A commutator expression whose value is target, placing it in gamma_depth."""
 
     expr: CommExpr
@@ -138,8 +137,7 @@ def gamma_membership_witness(
     return _verified(p, expr, target, s, max_bits)
 
 
-@dataclass(frozen=True)
-class OmegaStabilityReport:
+class OmegaStabilityReport(NamedTuple):
     """Desk-scale evidence that gamma_omega = [gamma_omega, G] on generators.
 
     Shows a^d = [a^(kd), t] with a^(kd) a power of a^d, hence inside the

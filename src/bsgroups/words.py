@@ -15,8 +15,8 @@ Conventions used by the whole package:
     brackets nest at most MAX_NESTING = 200 levels deep.  The parser reads a
     run of generator letters, with the power that may follow its last
     letter, in one regex match, and gives every letter a shared node.
-    parse_word reads a text with no bracket or parenthesis straight to
-    syllables with the same regex, and builds no tree.
+    evaluate_text, and parse_word through it, read a text with no bracket or
+    parenthesis straight to syllables with the same regex, and build no tree.
 
 An expression is evaluated in any Group: a run of generator powers goes to
 the group as one free word, and the values of a product's factors are
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, ExponentCapExceeded, ParseError, WordSizeExceeded
@@ -158,8 +157,7 @@ def _reduce_pairs(pairs, d: int = 0) -> list[tuple[str, int]]:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class Word(NamedTuple):
     """Freely reduced word; construct through from_pairs unless the tuple is
     already known to be reduced."""
 
@@ -185,8 +183,7 @@ class Word:
         return " ".join(g if e == 1 else f"{g}^{decimal(e)}" for g, e in self.syllables)
 
 
-@dataclass(frozen=True, slots=True)
-class ExpSums:
+class ExpSums(NamedTuple):
     sigma_a: int
     sigma_t: int
 
@@ -207,14 +204,23 @@ def exp_sums(w: Word) -> ExpSums:
 
 
 class _Node:
-    """Base of the expression nodes: ==, hash and repr walk the tree with a stack.
-
-    The generated dataclass methods recurse through several frames per
-    level, so a tree MAX_NESTING levels deep, such as a depth-200 witness,
-    can overflow the default recursion limit.
-    """
+    """Base of the expression nodes: immutable slotted objects whose ==, hash
+    and repr walk the tree with a stack, since recursion would take several
+    frames per level and a tree MAX_NESTING levels deep, such as a depth-200
+    witness, could overflow the default recursion limit.  A node is not a
+    tuple: _flat and __repr__ read a plain tuple as a factor list.  Each node
+    type sets its slots in its own __init__ (a generic one made parse_expr a
+    fifth slower)."""
 
     __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
     def _flat(self) -> list:
         # Each node type has a fixed field list and a factor tuple is preceded
@@ -241,8 +247,8 @@ class _Node:
         return hash(tuple(self._flat()))
 
     def __repr__(self) -> str:
-        # The generated dataclass text, such as Power(base=Gen(name='a'),
-        # exp=-1), with ints through decimal().  A str on the stack is output
+        # Keyword text, such as Power(base=Gen(name='a'), exp=-1), with ints
+        # through decimal().  A str on the stack is output
         # as is; a value to render is boxed in a 1-tuple.
         out, stack = [], [(self,)]
         while stack:
@@ -268,32 +274,42 @@ class _Node:
         return "".join(out)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Gen(_Node):
-    name: str  # "a" or "t"
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):  # "a" or "t"
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Power(_Node):
-    base: "CommExpr"
-    exp: int
+    __slots__ = ("base", "exp")
+
+    def __init__(self, base: CommExpr, exp: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exp", exp)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Product(_Node):
-    factors: tuple["CommExpr", ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[CommExpr, ...]):
+        object.__setattr__(self, "factors", factors)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Commutator(_Node):
-    left: "CommExpr"
-    right: "CommExpr"
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: CommExpr, right: CommExpr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Conjugate(_Node):
-    inner: "CommExpr"
-    by: "CommExpr"
+    __slots__ = ("inner", "by")
+
+    def __init__(self, inner: CommExpr, by: CommExpr):
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "by", by)
 
 
 CommExpr = Gen | Power | Product | Commutator | Conjugate
@@ -545,13 +561,12 @@ def eval_expr(expr: CommExpr, max_bits: int | None = None) -> Word:
     return evaluate(free_group(resolve_max_bits(max_bits)), expr)
 
 
-def _flat_word(text: str, cap: int) -> Word | None:
-    """The Word of a text of generator runs only, or None for any other text.
-
-    Literals are read in text order, so an over-cap literal raises here
-    exactly where the parser would; a text with any other fault is left to
-    the parser to report.
-    """
+def _flat_value(G: Group, text: str, cap: int):
+    """G.word of a text of generator runs only, or None for any other text.
+    Literals are read in text order, so an over-cap literal raises here as in
+    the parser; any other fault is left to the parser to report."""
+    if "(" in text or "[" in text:
+        return None
     pairs: list[tuple[str, int]] = []
     syllable = _SYLLABLES.__getitem__
     for letters, caret, sign, digits, other in _FLAT.findall(text):
@@ -565,22 +580,20 @@ def _flat_word(text: str, cap: int) -> Word | None:
             pairs += map(syllable, letters)
         elif other:
             return None
-    return free_group(cap).word(Word.from_pairs(pairs)) if pairs else None
+    return G.word(Word.from_pairs(pairs)) if pairs else None
+
+
+def evaluate_text(G: Group, text: str, max_bits: int | None = None):
+    """Value in G of the expression a text spells: a text without brackets or
+    parentheses goes straight to syllables and to G.word in one call, which is
+    what evaluating its tree does; any other text is parsed and evaluated."""
+    value = _flat_value(G, text, resolve_max_bits(max_bits))
+    return evaluate(G, parse_expr(text, max_bits)) if value is None else value
 
 
 def parse_word(text: str, max_bits: int | None = None) -> Word:
-    """Parse and evaluate in one go; handy for CLI and tests.
-
-    A text without brackets or parentheses is read straight to syllables;
-    it is the product of its generator powers, which is what evaluating its
-    tree gives.  Any other text, or one the parser must refuse, is parsed to
-    a tree and evaluated.
-    """
-    if "(" not in text and "[" not in text:
-        word = _flat_word(text, resolve_max_bits(max_bits))
-        if word is not None:
-            return word
-    return eval_expr(parse_expr(text, max_bits), max_bits)
+    """evaluate_text in the free group; handy for the library and tests."""
+    return evaluate_text(free_group(resolve_max_bits(max_bits)), text, max_bits)
 
 
 def gamma_weight_lower_bound(expr: CommExpr):

@@ -24,6 +24,7 @@ from bsgroups.words import (
     Word,
     eval_expr,
     evaluate,
+    evaluate_text,
     MAX_NESTING,
     exp_sums,
     free_group,
@@ -499,6 +500,26 @@ def test_parse_word_flat_values():
         parse_word("a^3 a^3", 2)
     with pytest.raises(ExponentCapExceeded):
         parse_word("a^5 A^5", 2)  # the literal 5 is refused before anything cancels
+
+
+def _agrees_with_tree(G, text, cap):
+    # evaluate_text against evaluating the parsed tree: the same value, or the
+    # same error, message and position
+    return _outcome(lambda s, c: evaluate_text(G, s, c), text, cap) == _outcome(
+        lambda s, c: evaluate(G, parse_expr(s, c)), text, cap
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(_flat_texts, st.integers(1, 40))
+def test_evaluate_text_matches_tree_evaluation(text, cap):
+    # in the affine model, where no text of _flat_texts builds a long value
+    assert _agrees_with_tree(affine_group(3, cap), text, cap)
+
+
+@pytest.mark.parametrize("text", ["T a^2 t", "a^-0042 t A", "aTt^-2 a", "(T a^2) t", "a^2 t^", "A b"])
+def test_evaluate_text_in_britton_forms(text):
+    assert _agrees_with_tree(bs_group(BSParams(2, 3), 64), text, 64)
 
 
 _letter_exprs = st.sampled_from([Gen("a"), Gen("t"), Power(Gen("a"), -1), Power(Gen("t"), -1)])

@@ -17,8 +17,8 @@ of an element is read off p-adic valuations of the numerator at the primes
 dividing n - 1.
 
 A word's translation part is b = sum of e * n^k over its a-syllables a^e,
-where k is the running value of -sigma_t.  to_affine first sums the
-exponents per level k with small-int adds, then evaluates sum c_k n^k by
+where k is the running value of -sigma_t.  to_affine sums the exponents per
+level k with small-int adds (words.level_sums), then evaluates sum c_k n^k by
 Horner over the distinct nonzero levels: one big-int multiply-add per level,
 not one per syllable.  Every power n^j is refused before it is formed once it
 alone reaches 2^(cap+1): no term of at most cap bits can then bring the
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, ExponentCapExceeded
 from .intmath import prime_factors, valuation
-from .words import Group, Word, decimal, resolve_max_bits, _check_cap
+from .words import Group, Word, decimal, level_sums, resolve_max_bits, _check_cap
 
 
 class ZnElement(NamedTuple):
@@ -142,13 +142,7 @@ def to_affine(n: int, w: Word, max_bits: int | None = None) -> AffineElem:
     if n == 0:
         raise DomainError("affine representation needs n != 0")
     cap = resolve_max_bits(max_bits)
-    coeffs: dict[int, int] = {}  # level k -> sum of the a-exponents read there
-    k = 0
-    for g, e in w.syllables:
-        if g == "t":
-            k -= e
-        else:
-            coeffs[k] = coeffs.get(k, 0) + e
+    coeffs, k = level_sums(w)
     # Horner from the top level down: acc * n^level is the sum so far
     acc = 0
     level = 0

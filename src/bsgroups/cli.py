@@ -93,7 +93,7 @@ def _cmd_member(args):
     from .words import parse_word
 
     p = BSParams(args.m, args.n)
-    target = parse_word(args.target or f"a^{p.d}", args.max_bits)
+    target = parse_word(f"a^{p.d}" if args.target is None else args.target, args.max_bits)
     rep = gamma_membership_witness(p, target, args.s, args.max_bits)
     return str(rep), rep.to_json_dict()
 

@@ -9,6 +9,9 @@ Two families of finite p-group quotients are built explicitly:
     t the cyclic shift.  This receives BS(m, n) whenever p^e divides both
     exponents, by factoring through the quotient that kills a^gcd.
 
+Both are metabelian, so a word's image is a closed form in its a-exponent
+sums per t-level (words.level_sums), whose cost does not depend on |Q|.
+
 Their lower central series have closed forms.  From gamma_2 on, every
 term lies in the abelian base: p^min(k, (i-1)v) Z_{p^k} for the semidirect
 product, v = v_p(u - 1), and the ideal (x - 1)^(i-1) of
@@ -33,7 +36,7 @@ from typing import NamedTuple
 from .classify import json_fields
 from .errors import DomainError, VerificationError
 from .intmath import is_prime, prime_factors, valuation
-from .words import Word, power
+from .words import Word, level_sums
 
 CONSTRUCTION_ORDER_CAP = 10_000_000
 
@@ -60,7 +63,8 @@ class Semidirect(NamedTuple):
     """Z_{p^k} x| Z_{p^j}; elements (x, y), a -> (1, 0), t -> (0, 1).
 
     Normal form x^alpha y^beta with y^-1 x y = x^u gives the product rule
-    (x1, y1)(x2, y2) = (x1 + x2 * u^-y1, y1 + y2).
+    (x1, y1)(x2, y2) = (x1 + x2 * u^-y1, y1 + y2).  So an a^e read after
+    t-exponent s adds e u^-s: the affine fold of BS(1, n) with n = u.
     """
 
     p: int
@@ -76,13 +80,12 @@ class Semidirect(NamedTuple):
     def identity(self):
         return (0, 0)
 
-    @property
-    def a_img(self):
-        return (1, 0)
-
-    @property
-    def t_img(self):
-        return (0, 1)
+    def word(self, w: Word):
+        """x = sum of c_l u^(l mod p^j) over the level sums c_l (u^(p^j) = 1), y = -end."""
+        pk, pj = self.p**self.k, self.p**self.j
+        sums, end = level_sums(w)
+        x = sum(c * pow(self.u, l % pj, pk) for l, c in sums.items())
+        return (x % pk, -end % pj)
 
     def mul(self, g, h):
         pk = self.p**self.k
@@ -118,14 +121,14 @@ class Wreath(NamedTuple):
     def identity(self):
         return ((0,) * self.p**self.j, 0)
 
-    @property
-    def a_img(self):
-        L = self.p**self.j
-        return ((1,) + (0,) * (L - 1), 0)
-
-    @property
-    def t_img(self):
-        return ((0,) * self.p**self.j, 1)
+    def word(self, w: Word):
+        """The level sum c_l sits at position -l mod p^j, and the shift is -end."""
+        L, pe = self.p**self.j, self.p**self.e
+        sums, end = level_sums(w)
+        f = [0] * L
+        for l, c in sums.items():
+            f[-l % L] += c
+        return (tuple(x % pe for x in f), -end % L)
 
     def mul(self, g, h):
         L = self.p**self.j
@@ -153,18 +156,8 @@ FinQuot = Semidirect | Wreath
 
 
 def fq_eval(q: FinQuot, w: Word):
-    """Image of a word under a -> a_img, t -> t_img.
-
-    Exponents are reduced into [-|Q|/2, |Q|/2) first, so t^-1 is one inverse.
-    """
-    order = q.order
-    half = order // 2
-    images = {"a": q.a_img, "t": q.t_img}
-    acc = q.identity
-    for g, e in w.syllables:
-        e = (e + half) % order - half
-        acc = q.mul(acc, power(q, images[g], e))
-    return acc
+    """Image of w in q: the closed form q.word, whose cost does not depend on |Q|."""
+    return q.word(w)
 
 
 def bs_relation_holds(q: FinQuot, m: int, n: int) -> bool:

@@ -199,6 +199,19 @@ def exp_sums(w: Word) -> ExpSums:
     return ExpSums(sa, st)
 
 
+def level_sums(w: Word) -> tuple[dict[int, int], int]:
+    """The a-exponent sum at each level k = -(t-exponent read so far), and the
+    final level: the data a metabelian image (affine, finite quotient) needs."""
+    sums: dict[int, int] = {}
+    k = 0
+    for g, e in w.syllables:
+        if g == "t":
+            k -= e
+        else:
+            sums[k] = sums.get(k, 0) + e
+    return sums, k
+
+
 # ---------------------------------------------------------------------------
 # Commutator expressions
 

@@ -21,6 +21,7 @@ from bsgroups.words import (
     Word,
     _check_cap,
     decimal,
+    power,
     resolve_max_bits,
 )
 
@@ -83,8 +84,30 @@ def rand_gamma2_word(rng: random.Random, p: BSParams, central: int = 0) -> Word:
     return w
 
 
-# Brute-force lower central series of a finite quotient: the oracle that the
-# closed forms in bsgroups.finquot are tested against.
+# Brute-force images and lower central series of a finite quotient: the
+# oracles that the closed forms in bsgroups.finquot are tested against.
+
+
+def generator_images(q: FinQuot) -> tuple:
+    """The images of a and t, spelled from the product rule: a is (1, 0) or
+    (delta_0, 0), t is (0, 1) or (the zero function, 1)."""
+    if isinstance(q, Semidirect):
+        return (1, 0), (0, 1)
+    L = q.p**q.j
+    return ((1,) + (0,) * (L - 1), 0), ((0,) * L, 1)
+
+
+def product_fq_eval(q: FinQuot, w: Word):
+    """Image of a word as a product of one power of a generator image per
+    syllable, exponents first reduced into [-|Q|/2, |Q|/2)."""
+    order = q.order
+    half = order // 2
+    images = dict(zip("at", generator_images(q)))
+    acc = q.identity
+    for g, e in w.syllables:
+        e = (e + half) % order - half
+        acc = q.mul(acc, power(q, images[g], e))
+    return acc
 
 
 def elements(q: FinQuot):
@@ -116,7 +139,8 @@ def _closure(q: FinQuot, gens) -> frozenset:
 
 
 def _conjugation_closure(q: FinQuot, seed: set) -> set:
-    conjugators = [q.a_img, q.t_img, q.inv(q.a_img), q.inv(q.t_img)]
+    gens = generator_images(q)
+    conjugators = [*gens, *map(q.inv, gens)]
     out = set(seed)
     frontier = list(seed)
     while frontier:
@@ -131,7 +155,7 @@ def _conjugation_closure(q: FinQuot, seed: set) -> set:
 
 def brute_gamma_series(q: FinQuot) -> list[frozenset]:
     """gamma_1 > gamma_2 > ... > {id} as element sets, gamma_{i+1} = [gamma_i, G]."""
-    gens = [q.a_img, q.t_img]
+    gens = generator_images(q)
     current = frozenset(elements(q))
     chain = [current]
     trivial = frozenset([q.identity])

@@ -281,6 +281,12 @@ def test_exit_codes(tmp_path, capsys):
     _assert_one_line_error(code, err)
     assert "nested deeper" in err
 
+    # an empty target is an empty expression, not the default target a^d
+    for target in ("", " "):
+        code, out, err = _run(capsys, ["witness", "member", "-m", "1", "-n", "2", "-s", "3", target])
+        _assert_one_line_error(code, err)
+        assert out == "" and "empty expression" in err
+
     code, _, _ = _run(capsys, ["bogus"])
     assert code == 2
 

@@ -25,14 +25,16 @@ from bsgroups.finquot import (
     quotient_family,
 )
 from bsgroups.intmath import prime_factors, valuation
-from bsgroups.words import parse_word, power
+from bsgroups.words import Word, evaluate, parse_expr, parse_word, power
 
 from helpers import (
     assert_same_json,
     brute_gamma_series,
     elements,
+    generator_images,
     insert_relator,
     multiplicative_order,
+    product_fq_eval,
     rand_word,
     reference_certificate_json,
     reference_certificate_text,
@@ -210,7 +212,7 @@ def test_wreath_chain_is_a_central_series(case):
     mul, inv = q.mul, q.inv
     assert chain.contains(i, g) and chain.contains(i, h)
     assert chain.contains(i, mul(g, h)) and chain.contains(i, inv(g))
-    for x in (q.a_img, q.t_img):
+    for x in generator_images(q):
         assert chain.contains(i, mul(mul(inv(x), g), x))
         assert chain.contains(i + 1, mul(mul(inv(g), inv(x)), mul(g, x)))
 
@@ -335,8 +337,60 @@ def test_fq_eval_inverse_syllable_costs_one_inverse():
     for text in ("t^-1", "a^-1"):
         q.calls = 0
         image = fq_eval(q, parse_word(text))
-        assert q.calls <= 3
+        assert q.calls == 0  # a closed form: no group product at all
         assert image == q.inv(fq_eval(q.q, parse_word(text[0])))
+
+
+# Quotients whose closed-form images are checked against the product rule:
+# the families of these groups (BS(8, -8) brings e = 3 wreaths, BS(4, 8) and
+# BS(9, -18) e = 2), and the semidirect quotient of BS(3, -5) of order 2^363.
+IMAGE_QUOTIENTS = {
+    (m, n): quotient_family(m, n)
+    for m, n in ((1, 3), (1, 4), (2, 4), (2, -2), (5, 10), (4, 8), (3, -5), (8, -8), (9, -18))
+}
+IMAGE_QUOTIENTS[3, -5].append(Semidirect(2, 183, 180, -5 * pow(3, -1, 2**183) % 2**183))
+
+
+@st.composite
+def _image_cases(draw):
+    """A group of IMAGE_QUOTIENTS and a word over it with t-runs up to 10^12,
+    a-exponents up to 10^30 and up to two spliced relators."""
+    m, n = draw(st.sampled_from(sorted(IMAGE_QUOTIENTS)))
+    exps = {
+        "a": st.one_of(st.integers(-4, 4), st.integers(-10**30, 10**30)),
+        "t": st.one_of(st.integers(-4, 4), st.integers(-10**12, 10**12)),
+    }
+    syllable = st.sampled_from("at").flatmap(lambda g: st.tuples(st.just(g), exps[g]))
+    pairs = draw(st.lists(syllable, max_size=10))
+    relator = [("t", -1), ("a", m), ("t", 1), ("a", -n)]
+    for _ in range(draw(st.integers(0, 2))):
+        cut = draw(st.integers(0, len(pairs)))
+        pairs[cut:cut] = relator if draw(st.booleans()) else [(g, -e) for g, e in relator[::-1]]
+    return (m, n), Word.from_pairs(pairs)
+
+
+def test_image_quotients_are_quotients():
+    kinds = {(type(q), getattr(q, "e", 1)) for qs in IMAGE_QUOTIENTS.values() for q in qs}
+    assert kinds >= {(Semidirect, 1), (Wreath, 1), (Wreath, 2), (Wreath, 3)}
+    for (m, n), qs in IMAGE_QUOTIENTS.items():
+        assert all(bs_relation_holds(q, m, n) for q in qs), (m, n)
+    big = IMAGE_QUOTIENTS[3, -5][-1]
+    assert big.order == 2**363 and pow(big.u, 2**180, 2**183) == 1 != pow(big.u, 2**179, 2**183)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_image_cases())
+def test_closed_form_image_matches_products(case):
+    group, w = case
+    for q in IMAGE_QUOTIENTS[group]:
+        assert fq_eval(q, w) == product_fq_eval(q, w), (q, str(w))
+
+
+def test_quotients_are_groups_for_evaluate():
+    # each record is a words.Group: expressions evaluate in it directly
+    for q in (build_semidirect(2, 3, 1, 1, 3), build_wreath(2, 2, 2)):
+        for text in ("[[a, t], t]", "(a^3 T)^5 [a^2, t^-1]", "T^7 a t^7"):
+            assert evaluate(q, parse_expr(text)) == fq_eval(q, parse_word(text)), text
 
 
 def test_certify_examples():

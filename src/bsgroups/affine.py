@@ -19,11 +19,13 @@ dividing n - 1.
 A word's translation part is b = sum of e * n^k over its a-syllables a^e,
 where k is the running value of -sigma_t.  to_affine sums the exponents per
 level k with small-int adds (words.level_sums), then evaluates sum c_k n^k by
-Horner over the distinct nonzero levels: one big-int multiply-add per level,
-not one per syllable.  Every power n^j is refused before it is formed once it
-alone reaches 2^(cap+1): no term of at most cap bits can then bring the
-result back under the cap, so the refusal is the cap check made early and no
-huge power is ever built.
+Horner over the distinct nonzero levels (_fold): one big-int multiply-add per
+level, not one per syllable.  zn_add and the group law use the same fold: a
+sum num1 / n^l1 + num2 / n^l2 is the fold of two levels, and the unit n^k in
+b1 + n^k b2 only shifts b2's level, which zn_canon settles.  Every power n^j
+is refused before it is formed once it alone reaches 2^(cap+1): no term of at
+most cap bits can then bring the result back under the cap, so the refusal
+is the cap check made early and no huge power is ever built.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DomainError, ExponentCapExceeded
-from .intmath import prime_factors, valuation
-from .words import Group, Word, decimal, level_sums, resolve_max_bits, _check_cap
+from .intmath import decimal, prime_factors, valuation
+from .words import Group, Word, level_sums, resolve_max_bits, _check_cap
 
 
 class ZnElement(NamedTuple):
@@ -65,43 +67,29 @@ def zn_canon(n: int, num: int, l: int, cap: int | None = None) -> ZnElement:
         if n == -1 and l % 2:
             num = -num
         return ZnElement(num, 0)
-    # divide out n^min(v_n(num), l) by the binary digits of the exponent,
-    # so a long run of factors n costs O(log l) divisions, not l
-    squares = []
-    p, j = n, 1
-    while j <= l and num % p == 0:
-        squares.append((p, j))
-        p, j = p * p, 2 * j
-    for p, j in reversed(squares):
-        if j <= l and num % p == 0:
-            num //= p
-            l -= j
-    if l < 0:
+    if l > 0:
+        j = min(valuation(num, n), l)
+        num, l = num // n**j, l - j
+    elif l < 0:
         cap = resolve_max_bits(cap)
-        num = _check_cap(num * _pow(n, -l, cap), cap)
-        l = 0
+        num, l = _check_cap(num * _pow(n, -l, cap), cap), 0
     return ZnElement(num, l)
 
 
+def _fold(n: int, coeffs: dict[int, int], cap: int) -> ZnElement:
+    """The sum of c * n^level over coeffs {level: c}, by Horner from the top level down."""
+    acc = 0
+    level = 0
+    for l in sorted((l for l, c in coeffs.items() if c), reverse=True):
+        # acc * n^level is the sum so far
+        acc = _check_cap((acc * _pow(n, level - l, cap) if acc else 0) + coeffs[l], cap)
+        level = l
+    return zn_canon(n, acc, -level, cap)
+
+
 def zn_add(n: int, x: ZnElement, y: ZnElement, cap: int | None = None) -> ZnElement:
-    cap = resolve_max_bits(cap)
-    if x.l < y.l:
-        x, y = y, x
-    num = x.num + (y.num * _pow(n, x.l - y.l, cap) if y.num else 0)
-    _check_cap(num, cap)
-    return zn_canon(n, num, x.l, cap)
-
-
-def zn_neg(x: ZnElement) -> ZnElement:
-    return ZnElement(-x.num, x.l)
-
-
-def zn_scale_pow(n: int, x: ZnElement, k: int, cap: int | None = None) -> ZnElement:
-    """Multiply by the unit n^k (k of either sign)."""
-    cap = resolve_max_bits(cap)
-    out = zn_canon(n, x.num, x.l - k, cap)
-    _check_cap(out.num, cap)
-    return out
+    coeffs = {-x.l: x.num + y.num} if x.l == y.l else {-x.l: x.num, -y.l: y.num}
+    return _fold(n, coeffs, resolve_max_bits(cap))
 
 
 def zn_divexact_int(n: int, x: ZnElement, c: int) -> ZnElement:
@@ -129,27 +117,19 @@ IDENTITY = AffineElem(0, _ZERO)
 
 def affine_compose(n: int, g: AffineElem, h: AffineElem, max_bits: int | None = None) -> AffineElem:
     cap = resolve_max_bits(max_bits)
-    return AffineElem(g.k + h.k, zn_add(n, g.b, zn_scale_pow(n, h.b, g.k, cap), cap))
+    return AffineElem(g.k + h.k, zn_add(n, g.b, zn_canon(n, h.b.num, h.b.l - g.k, cap), cap))
 
 
 def affine_invert(n: int, g: AffineElem, max_bits: int | None = None) -> AffineElem:
-    cap = resolve_max_bits(max_bits)
-    return AffineElem(-g.k, zn_neg(zn_scale_pow(n, g.b, -g.k, cap)))
+    return AffineElem(-g.k, zn_canon(n, -g.b.num, g.b.l + g.k, resolve_max_bits(max_bits)))
 
 
 def to_affine(n: int, w: Word, max_bits: int | None = None) -> AffineElem:
     """Image of a word under a -> x+1, t -> x/n; faithful as stored data."""
     if n == 0:
         raise DomainError("affine representation needs n != 0")
-    cap = resolve_max_bits(max_bits)
     coeffs, k = level_sums(w)
-    # Horner from the top level down: acc * n^level is the sum so far
-    acc = 0
-    level = 0
-    for l in sorted((l for l, c in coeffs.items() if c), reverse=True):
-        acc = _check_cap((acc * _pow(n, level - l, cap) if acc else 0) + coeffs[l], cap)
-        level = l
-    return AffineElem(k, zn_canon(n, acc, -level, cap))
+    return AffineElem(k, _fold(n, coeffs, resolve_max_bits(max_bits)))
 
 
 def affine_group(n: int, max_bits: int | None = None) -> Group:

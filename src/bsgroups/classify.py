@@ -29,7 +29,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import DomainError
-from .intmath import prime_factors, prime_power
+from .intmath import decimal, prime_factors, prime_power
 
 
 def json_fields(x):
@@ -79,7 +79,7 @@ class ResiduallyP(NamedTuple):
             return "all"
         if self.kind == "none":
             return "none"
-        return ";".join(str(p) for p in self.primes)
+        return ";".join(map(decimal, self.primes))
 
     @property
     def nonempty(self) -> bool:
@@ -94,9 +94,9 @@ class GammaOmega(NamedTuple):
 
     def __str__(self) -> str:
         if self.kind == "equals":
-            return f"=NC(a^{self.d})"
+            return f"=NC(a^{decimal(self.d)})"
         if self.kind == "contains":
-            return f">NC(a^{self.d})"
+            return f">NC(a^{decimal(self.d)})"
         return self.kind
 
 
@@ -127,8 +127,9 @@ class ClassReport(NamedTuple):
 
     def __str__(self) -> str:
         rp = self.residually_p
+        m, n, cm, cn = map(decimal, (self.m, self.n, *self.canonical))
         lines = [
-            f"BS({self.m},{self.n}) canonical ({self.canonical[0]},{self.canonical[1]})",
+            f"BS({m},{n}) canonical ({cm},{cn})",
             f"abelianization: {self.abelianization}",
             f"residually finite: {_bool(self.residually_finite)}",
             f"residually p: {rp} ({rp.condition})",
@@ -145,10 +146,7 @@ class ClassReport(NamedTuple):
     def csv_row(self) -> dict[str, str]:
         """The report's cells in the sweep CSV, by column."""
         return dict(zip(SWEEP_COLUMNS, (
-            str(self.m),
-            str(self.n),
-            str(self.canonical[0]),
-            str(self.canonical[1]),
+            *map(decimal, (self.m, self.n, *self.canonical)),
             self.abelianization,
             _bool(self.residually_finite),
             str(self.residually_p),
@@ -202,7 +200,7 @@ def classify(m: int, n: int) -> ClassReport:
     elif diff == 1:
         ab = "Z"
     else:
-        ab = f"Z x Z_{diff}"
+        ab = f"Z x Z_{decimal(diff)}"
 
     rf = cm == 1 or abs(cn) == cm
     rp = _residually_p(cm, cn)
@@ -257,7 +255,8 @@ class ChainReport(NamedTuple):
         return {**_report_json(self), "quotients": dict(self.quotients)}
 
     def __str__(self) -> str:
-        lines = [f"BS({self.m},{self.n}) case {self.case}", "chain: " + " >= ".join(self.chain)]
+        m, n = decimal(self.m), decimal(self.n)
+        lines = [f"BS({m},{n}) case {self.case}", "chain: " + " >= ".join(self.chain)]
         lines += [f"{q} = {v}" for q, v in self.quotients]
         lines += [f"note: {t}" for t in self.notes]
         return "\n".join(lines)
@@ -287,7 +286,7 @@ def prop5_chain(m: int, n: int) -> ChainReport:
         return report(
             2,
             ("G", "A", "G'", "R"),
-            quotients=(("G/A", "Z"), ("A/G'", f"Z_{diff}")),
+            quotients=(("G/A", "Z"), ("A/G'", f"Z_{decimal(diff)}")),
             notes=("G' is a proper subgroup of A", "A/R abelian"),
         )
     if diff == d and prime_power(d) is not None:
@@ -301,9 +300,9 @@ def prop5_chain(m: int, n: int) -> ChainReport:
             1,
             ("G", "G'A", "A", "R"),
             quotients=(
-                ("G/G'A", f"Z x Z_{d}"),
-                ("G/A", f"Z * Z_{d}"),
-                ("G/G'", f"Z x Z_{diff}"),
+                ("G/G'A", f"Z x Z_{decimal(d)}"),
+                ("G/A", f"Z * Z_{decimal(d)}"),
+                ("G/G'", f"Z x Z_{decimal(diff)}"),
                 ("G'A/A", "F_inf"),
             ),
             notes=("A/R abelian",),

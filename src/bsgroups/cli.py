@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 
-from .classify import classify, prop5_chain, sweep_csv
+from .classify import canonical_form, classify, prop5_chain, sweep_csv
 from .errors import BsError
 
 # The subcommands whose handlers read args.max_bits.
@@ -126,6 +126,7 @@ def _cmd_fsub_probe(args):
 def _cmd_oracle_build(args):
     from .finquot import build_semidirect, build_wreath, bs_relation_holds, fq_gamma_series
 
+    canonical_form(args.m, args.n)  # refuses a zero parameter, which build_wreath never sees
     if args.family == "wreath":
         q = build_wreath(args.p, args.k, args.j)
     else:

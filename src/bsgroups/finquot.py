@@ -33,9 +33,9 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .classify import json_fields
+from .classify import canonical_form, json_fields
 from .errors import DomainError, VerificationError
-from .intmath import is_prime, prime_factors, valuation
+from .intmath import decimal, is_prime, prime_factors, valuation
 from .words import Word, level_sums
 
 CONSTRUCTION_ORDER_CAP = 10_000_000
@@ -166,6 +166,7 @@ def bs_relation_holds(q: FinQuot, m: int, n: int) -> bool:
 
 
 def build_semidirect(p: int, k: int, j: int, m: int, n: int) -> Semidirect:
+    canonical_form(m, n)  # refuses a zero parameter
     if not is_prime(p):
         raise DomainError(f"p = {p} is not prime")
     if k < 1 or j < 1:
@@ -358,10 +359,10 @@ class Certificate(NamedTuple):
 
     @property
     def statement(self) -> str:
+        i, m, n = map(decimal, (self.i, self.m, self.n))
         return (
             f"image {self.image} of the element in {self.quotient.describe()} "
-            f"lies outside gamma_{self.i}(Q), hence the element lies outside "
-            f"gamma_{self.i}(BS({self.m},{self.n}))"
+            f"lies outside gamma_{i}(Q), hence the element lies outside gamma_{i}(BS({m},{n}))"
         )
 
     def __str__(self) -> str:
@@ -402,6 +403,7 @@ def _semidirect_primes(m: int, n: int) -> list[int]:
 
 def quotient_family(m: int, n: int, budget: SearchBudget = DEFAULT_BUDGET) -> list[FinQuot]:
     """All in-budget quotients receiving BS(m, n), smallest first."""
+    canonical_form(m, n)  # refuses a zero parameter: every prime divides 0
     d = math.gcd(abs(m), abs(n))
     out: list[FinQuot] = []
     for p in _semidirect_primes(m, n):
@@ -414,9 +416,9 @@ def quotient_family(m: int, n: int, budget: SearchBudget = DEFAULT_BUDGET) -> li
             j_min = next(j for j in itertools.count(1) if pow(u, p**j, pk) == 1)
             for j in range(j_min, min(budget.j_max, top - k) + 1):
                 out.append(Semidirect(p, k, j, u))
-    for p in prime_factors(d):
+    for p, v in prime_factors(d).items():
         top = _max_exponent(p, budget.order_cap)  # |Q| = p^(e p^j + j) <= p^top
-        for e in range(1, valuation(d, p) + 1):
+        for e in range(1, v + 1):
             for j in range(1, min(budget.j_max, top) + 1):
                 if e * p**j + j > top:
                     break

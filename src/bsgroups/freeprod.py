@@ -194,7 +194,7 @@ class ProbeReport(NamedTuple):
 
     def __str__(self) -> str:
         return (
-            f"d={self.d} K={self.K}: checked {self.checked} reduced words "
+            f"d={decimal(self.d)} K={decimal(self.K)}: checked {self.checked} reduced words "
             f"(skipped {self.skipped_empty} empty), nontrivial {self.nontrivial}, "
             f"{'OK' if self.ok else 'FAILURES: ' + '; '.join(self.failures)}"
         )

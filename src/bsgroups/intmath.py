@@ -1,4 +1,4 @@
-"""Small integer helpers: factoring and valuations.
+"""Small integer helpers: factoring, valuations and decimal text.
 
 Factoring is trial division by small numbers, then Brent-Pollard rho
 (Pollard, BIT 15, 1975) with deterministic Miller-Rabin, exact below
@@ -42,9 +42,9 @@ def prime_factors(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     f = 2
     while f < _TRIAL_BOUND and f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
+        if n % f == 0:
+            out[f] = valuation(n, f)
+            n //= f ** out[f]
         f += 1
     # n has no factor below f now.  Both pieces of every rho split wait on
     # `pending`, the smaller one on top, and each piece is tested once.  A
@@ -64,9 +64,8 @@ def prime_factors(n: int) -> dict[int, int]:
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
+    s = valuation(n - 1, 2)
+    d = (n - 1) >> s
     x = pow(a, d, n)
     if x in (1, n - 1):
         return True
@@ -144,13 +143,54 @@ def prime_power(n: int) -> tuple[int, int] | None:
 
 
 def valuation(x: int, p: int) -> int:
-    """p-adic valuation of x != 0 (of |x|; sign is ignored)."""
-    if x == 0:
-        raise ValueError("valuation of 0 is infinite")
-    x = abs(x)
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
+    """Largest v with p^v dividing x != 0, for |p| >= 2 (p need not be prime).
 
+    A squaring ladder: divide by p, p^2, p^4, ... while each divides, then
+    try the same squares on the way down, so v costs O(log v) divisions.
+    """
+    if not x:
+        raise ValueError("valuation of 0 is infinite")
+    if -2 < p < 2:
+        raise ValueError(f"valuation needs |p| >= 2, got p = {p}")
+    if x % p:
+        return 0
+    squares = []
+    q, r = divmod(x, p)
+    while not r:
+        squares.append(p)
+        x, p = q, p * p
+        q, r = divmod(x, p)
+    # 2^len(squares) - 1 factors are out, and fewer than 2^len(squares) are
+    # left: read the binary digits of their count from the largest square down
+    v = 0
+    for s in reversed(squares):
+        q, r = divmod(x, s)
+        x, v = (x, 2 * v) if r else (q, 2 * v + 1)
+    return v + (1 << len(squares)) - 1
+
+
+# CPython (3.10.7 on) refuses int <-> str conversions past a process-wide
+# digit limit, 4300 by default and never below 640.
+_PIECE = 640
+
+
+def decimal(x):
+    """str(x) for an int, int(x) for a decimal string, at any length.
+
+    Long numbers are converted in pieces of at most _PIECE digits, so the
+    process-wide limit is never met and never changed.
+    """
+    if isinstance(x, str):
+        if x[:1] == "-":
+            return -decimal(x[1:])
+        if len(x) <= _PIECE:
+            return int(x)
+        h = len(x) // 2
+        return decimal(x[:-h]) * 10**h + decimal(x[-h:])
+    if x < 0:
+        return "-" + decimal(-x)
+    if x.bit_length() <= 3 * _PIECE:  # under 10^_PIECE
+        return str(x)
+    h = int(x.bit_length() * 0.30103) // 2  # about half the digits
+    hi, lo = divmod(x, 10**h)
+    return decimal(hi) + decimal(lo).zfill(h)

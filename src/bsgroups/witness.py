@@ -34,6 +34,7 @@ from .words import (
     Power,
     Product,
     Word,
+    decimal,
     evaluate,
     gamma_weight_lower_bound,
     pretty_print,
@@ -71,8 +72,9 @@ class MembershipWitness(NamedTuple):
         }
 
     def __str__(self) -> str:
+        m, n = decimal(self.m), decimal(self.n)
         return (
-            f"{pretty_print(self.expr)} = {self.target} in BS({self.m},{self.n}); "
+            f"{pretty_print(self.expr)} = {self.target} in BS({m},{n}); "
             f"value lies in gamma_{self.depth} (verified)"
         )
 
@@ -159,7 +161,7 @@ class OmegaStabilityReport(NamedTuple):
 
     def __str__(self) -> str:
         return (
-            f"BS({self.m},{self.n}): {self.identity}; "
+            f"BS({decimal(self.m)},{decimal(self.n)}): {self.identity}; "
             "stable under [., G] on generators (evidence, not proof)"
         )
 
@@ -178,6 +180,6 @@ def omega_stability_check(p: BSParams, max_bits: int | None = None) -> OmegaStab
     k = cm // d
     expr = Commutator(Power(Gen("a"), k * d), Gen("t"))
     _verified(q, expr, Word.from_pairs((("a", d),)), 2, max_bits)
-    return OmegaStabilityReport(
-        p.m, p.n, d, k, f"a^{d} = [a^{k * d}, t] with a^{k * d} in gamma_omega", True
-    )
+    a_d, a_kd = f"a^{decimal(d)}", f"a^{decimal(k * d)}"
+    identity = f"{a_d} = [{a_kd}, t] with {a_kd} in gamma_omega"
+    return OmegaStabilityReport(p.m, p.n, d, k, identity, True)

@@ -37,6 +37,7 @@ import re
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, ExponentCapExceeded, ParseError, WordSizeExceeded
+from .intmath import decimal
 
 DEFAULT_MAX_BITS = 1_000_000
 ENV_MAX_BITS = "BS_MAX_BITS"
@@ -78,33 +79,6 @@ def resolve_max_bits(value: int | None = None) -> int:
     if value <= 0:
         raise DomainError(f"bit cap must be positive, got {value}")
     return value
-
-
-# CPython (3.10.7 on) refuses int <-> str conversions past a process-wide
-# digit limit, 4300 by default and never below 640.
-_PIECE = 640
-
-
-def decimal(x):
-    """str(x) for an int, int(x) for a decimal string, at any length.
-
-    Long numbers are converted in pieces of at most _PIECE digits, so the
-    process-wide limit is never met and never changed.
-    """
-    if isinstance(x, str):
-        if x[:1] == "-":
-            return -decimal(x[1:])
-        if len(x) <= _PIECE:
-            return int(x)
-        h = len(x) // 2
-        return decimal(x[:-h]) * 10**h + decimal(x[-h:])
-    if x < 0:
-        return "-" + decimal(-x)
-    if x.bit_length() <= 3 * _PIECE:  # under 10^_PIECE
-        return str(x)
-    h = int(x.bit_length() * 0.30103) // 2  # about half the digits
-    hi, lo = divmod(x, 10**h)
-    return decimal(hi) + decimal(lo).zfill(h)
 
 
 def _check_cap(x: int, cap: int) -> int:

@@ -7,7 +7,7 @@ import json
 import random
 import re
 
-from bsgroups.affine import AffineElem, ZnElement, zn_add, zn_scale_pow
+from bsgroups.affine import AffineElem, ZnElement, _pow
 from bsgroups.britton import BrittonNF, BSParams
 from bsgroups.errors import DomainError, ExponentCapExceeded, ParseError
 from bsgroups.finquot import FinQuot, Semidirect
@@ -21,6 +21,7 @@ from bsgroups.words import (
     Word,
     _check_cap,
     decimal,
+    level_sums,
     power,
     resolve_max_bits,
 )
@@ -275,6 +276,101 @@ def eager_multiply(p: BSParams, x: BrittonNF, y: BrittonNF, max_bits: int = 1 <<
     return _eager_scan(p, x.r0, [list(entry) for entry in x.tail], y.to_word(), max_bits)
 
 
+# The Z[1/n] arithmetic that bsgroups.affine's one Horner fold replaced:
+# zn_canon with its own squaring ladder, zn_add by one scaled term, and the
+# group law through zn_scale_pow and zn_neg.  The oracle for the fold's values
+# and cap refusals.
+
+_ZERO = ZnElement(0, 0)
+
+
+def reference_zn_canon(n: int, num: int, l: int, cap: int | None = None) -> ZnElement:
+    if num == 0:
+        return _ZERO
+    if n in (1, -1):
+        # n^l is a unit sign; fold it into the numerator
+        if n == -1 and l % 2:
+            num = -num
+        return ZnElement(num, 0)
+    # divide out n^min(v_n(num), l) by the binary digits of the exponent,
+    # so a long run of factors n costs O(log l) divisions, not l
+    squares = []
+    p, j = n, 1
+    while j <= l and num % p == 0:
+        squares.append((p, j))
+        p, j = p * p, 2 * j
+    for p, j in reversed(squares):
+        if j <= l and num % p == 0:
+            num //= p
+            l -= j
+    if l < 0:
+        cap = resolve_max_bits(cap)
+        num = _check_cap(num * _pow(n, -l, cap), cap)
+        l = 0
+    return ZnElement(num, l)
+
+
+def reference_zn_add(n: int, x: ZnElement, y: ZnElement, cap: int | None = None) -> ZnElement:
+    cap = resolve_max_bits(cap)
+    if x.l < y.l:
+        x, y = y, x
+    num = x.num + (y.num * _pow(n, x.l - y.l, cap) if y.num else 0)
+    _check_cap(num, cap)
+    return reference_zn_canon(n, num, x.l, cap)
+
+
+def reference_zn_neg(x: ZnElement) -> ZnElement:
+    return ZnElement(-x.num, x.l)
+
+
+def reference_zn_scale_pow(n: int, x: ZnElement, k: int, cap: int | None = None) -> ZnElement:
+    """Multiply by the unit n^k (k of either sign)."""
+    cap = resolve_max_bits(cap)
+    out = reference_zn_canon(n, x.num, x.l - k, cap)
+    _check_cap(out.num, cap)
+    return out
+
+
+def reference_affine_compose(
+    n: int, g: AffineElem, h: AffineElem, max_bits: int | None = None
+) -> AffineElem:
+    cap = resolve_max_bits(max_bits)
+    b = reference_zn_add(n, g.b, reference_zn_scale_pow(n, h.b, g.k, cap), cap)
+    return AffineElem(g.k + h.k, b)
+
+
+def reference_affine_invert(n: int, g: AffineElem, max_bits: int | None = None) -> AffineElem:
+    cap = resolve_max_bits(max_bits)
+    return AffineElem(-g.k, reference_zn_neg(reference_zn_scale_pow(n, g.b, -g.k, cap)))
+
+
+def reference_to_affine(n: int, w: Word, max_bits: int | None = None) -> AffineElem:
+    """to_affine's Horner fold over level sums, canonicalised by reference_zn_canon."""
+    if n == 0:
+        raise DomainError("affine representation needs n != 0")
+    cap = resolve_max_bits(max_bits)
+    coeffs, k = level_sums(w)
+    # Horner from the top level down: acc * n^level is the sum so far
+    acc = 0
+    level = 0
+    for l in sorted((l for l, c in coeffs.items() if c), reverse=True):
+        acc = _check_cap((acc * _pow(n, level - l, cap) if acc else 0) + coeffs[l], cap)
+        level = l
+    return AffineElem(k, reference_zn_canon(n, acc, -level, cap))
+
+
+def reference_valuation(x: int, p: int) -> int:
+    """The p-adic valuation one division per factor: the oracle for intmath.valuation."""
+    if x == 0:
+        raise ValueError("valuation of 0 is infinite")
+    x = abs(x)
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
 # The per-syllable fold that bsgroups.affine.to_affine replaced: three Z[1/n]
 # calls per a-syllable, each bit-capped.  The oracle for its per-level form.
 
@@ -289,7 +385,7 @@ def syllable_fold_to_affine(n: int, w: Word, max_bits: int | None = None) -> Aff
         if g == "t":
             k -= e
         else:
-            b = zn_add(n, b, zn_scale_pow(n, ZnElement(e, 0), k, cap), cap)
+            b = reference_zn_add(n, b, reference_zn_scale_pow(n, ZnElement(e, 0), k, cap), cap)
     return AffineElem(k, b)
 
 

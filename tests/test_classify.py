@@ -1,11 +1,15 @@
+import sys
+
 import pytest
 
 import bsgroups.freeprod as freeprod
 from bsgroups.britton import BSParams
 from bsgroups.classify import SWEEP_COLUMNS, canonical_form, classify, prop5_chain, sweep_csv
 from bsgroups.errors import DomainError
+from bsgroups.finquot import certify_not_in_gamma
 from bsgroups.freeprod import ProbeReport, free_subgroup_probe, r_generators
-from bsgroups.words import parse_word
+from bsgroups.witness import gamma_membership_witness, omega_stability_check
+from bsgroups.words import Word, parse_word
 
 from helpers import (
     assert_same_json,
@@ -266,3 +270,30 @@ def test_probe_answers_at_any_d():
     # the letters are drawn by index, never listed: d = 10^30 costs what d = 2 does
     rep = free_subgroup_probe(BSParams(10**30, 10**30), K=20, trials=20, max_len=20, seed=3)
     assert rep.ok and rep.d == 10**30 and rep.checked + rep.skipped_empty == 20
+
+
+def _report_texts() -> list[str]:
+    """Every report's text with parameters of 5001 digits: n = 2^k + 1, d = 2^k."""
+    k = 16_610
+    n, d = 2**k + 1, 2**k
+    cert = certify_not_in_gamma(1, n, parse_word("a"), 2)
+    return [
+        *(str(classify(m, n2)) for m, n2 in ((1, n), (2, n), (d, 2 * d))),
+        *(",".join(classify(m, n2).csv_row().values()) for m, n2 in ((1, n), (2, n), (d, 2 * d))),
+        *(str(prop5_chain(m, n2)) for m, n2 in ((2, n), (6, 6 * n), (d, 2 * d))),
+        str(free_subgroup_probe(BSParams(d, d), K=2, trials=3, seed=0)),
+        str(gamma_membership_witness(BSParams(d, 2 * d), Word.from_pairs((("a", d),)), 3)),
+        str(omega_stability_check(BSParams(d, 2 * d))),
+        cert.statement,
+        str(cert),
+    ]
+
+
+def test_huge_parameters_print_in_reports(digit_limit):
+    # built under the default digit limit, each text equals the one built
+    # with the limit lifted, and each holds a parameter past the limit
+    texts = _report_texts()
+    assert all(len(t) > 5000 for t in texts)
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
+        assert _report_texts() == texts

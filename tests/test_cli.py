@@ -287,6 +287,16 @@ def test_exit_codes(tmp_path, capsys):
         _assert_one_line_error(code, err)
         assert out == "" and "empty expression" in err
 
+    # BS(m, n) needs nonzero m and n in every subcommand, the oracle's too;
+    # test_finquot runs m = n = 0, which never ended, in a fresh interpreter
+    for argv in (
+        ["oracle", "certify", "-m", "3", "-n", "0", "-i", "2", "a"],
+        ["oracle", "certify", "-m", "0", "-n", "3", "-i", "2", "a"],
+        ["oracle", "build", "-m", "0", "-n", "0", "--family", "wreath", "-p", "2", "-k", "1", "-j", "1"],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert (code, out, err) == (1, "", "error: parameters must be nonzero\n"), argv
+
     code, _, _ = _run(capsys, ["bogus"])
     assert code == 2
 
@@ -464,6 +474,10 @@ def _argv(draw):
 @example(["classify", "-m", "1", "-n", str(7**2000 + 2)])
 @example(["fsub-probe", "-m", "10000000", "-n", "10000000", "-K", "14", "--trials", "14"])
 @example(["fsub-probe", "-m", "5", "-n", "5", "-K", "5", "--trials", "9", "--max-len", "-1"])
+@example(["oracle", "certify", "-m", "0", "-n", "0", "-i", "2", "a"])
+@example(["oracle", "certify", "-m", "3", "-n", "0", "-i", "2", "a"])
+@example(["oracle", "certify", "-m", "0", "-n", "3", "-i", "2", "a"])
+@example(["oracle", "build", "-m", "0", "-n", "0", "--family", "wreath", "-p", "2", "-k", "1", "-j", "1"])
 def test_fuzz_command_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -473,3 +487,9 @@ def test_fuzz_command_line(argv):
     assert "Traceback" not in err
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_weight_of_a_huge_power_of_two(capsys):
+    # v_2 of 2^400000 in O(log v) divisions; one per factor took about 40 s
+    code, out, _ = _run(capsys, ["weight", "-n", "3", "a^" + decimal(2**400_000)])
+    assert (code, out) == (0, "400001")

@@ -1,7 +1,10 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +73,25 @@ def test_build_semidirect_rejections():
         build_semidirect(2, 4, 1, 1, 3)  # ord(3 mod 16) = 4 > 2^1
     with pytest.raises(DomainError):
         build_semidirect(2, 20, 5, 1, 3)  # order cap
+
+
+def test_zero_parameters_are_refused():
+    # every prime divides 0, so the search for two primes not dividing m = 0
+    # never ended: a fresh interpreter with a timeout turns a hang into a failure
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "from bsgroups.finquot import quotient_family\n"
+        "try:\n    quotient_family(0, 0)\nexcept Exception as exc:\n    print(type(exc).__name__, exc)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
+    assert proc.stdout == "DomainError parameters must be nonzero\n", proc.stderr
+    # one zero gave quotients, and certificates, for a group that does not exist
+    for m, n in ((3, 0), (0, 3), (0, 0)):
+        with pytest.raises(DomainError, match="parameters must be nonzero"):
+            certify_not_in_gamma(m, n, parse_word("a"), 2)
+        with pytest.raises(DomainError, match="parameters must be nonzero"):
+            build_semidirect(2, 1, 1, m, n)
 
 
 def test_build_wreath():

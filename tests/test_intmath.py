@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from bsgroups import intmath
 from bsgroups.errors import DomainError
-from bsgroups.intmath import MR_EXACT_BOUND, is_prime, prime_factors
+from bsgroups.intmath import MR_EXACT_BOUND, is_prime, prime_factors, valuation
 
-from helpers import trial_factors
+from helpers import reference_valuation, trial_factors
 
 
 def test_prime_factors_match_trial_division():
@@ -87,3 +88,42 @@ def test_rho_budget_charges_for_the_cofactor_size():
         with pytest.raises(DomainError, match="Pollard rho steps"):
             prime_factors(7**k + 1)
         assert time.perf_counter() - start < 3.0, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.sampled_from((2, 3, -2, -3, 4, 6, -6, 10, -12, 30, 2**61 - 1)), st.integers(2, 1000)),
+    st.integers(-(10**12), 10**12).filter(bool),
+    st.one_of(st.integers(0, 70), st.integers(0, 10**4)),
+)
+def test_valuation_matches_one_division_per_factor(p, c, v):
+    # c may hold factors of p too: the valuation of c * p^v is v or more
+    x = c * p**v
+    assert valuation(x, p) == reference_valuation(x, p)
+    assert valuation(-x, -p) == reference_valuation(x, p)
+
+
+def test_valuation_refuses_units_zero_and_zero_modulus():
+    for p in (-1, 0, 1):
+        with pytest.raises(ValueError):
+            valuation(12, p)
+    with pytest.raises(ValueError):
+        valuation(0, 3)
+
+
+def test_valuation_costs_o_log_v_divisions(monkeypatch):
+    # a module global divmod shadows the builtin for intmath alone
+    calls = 0
+
+    def counting(x, p):
+        nonlocal calls
+        calls += 1
+        return divmod(x, p)
+
+    monkeypatch.setattr(intmath, "divmod", counting, raising=False)
+    assert valuation(3 * 2**400_000, 2) == 400_000
+    # one division per factor would make 400 000 calls
+    assert 0 < calls <= 2 * math.log2(400_000) + 2
+    calls = 0
+    assert prime_factors(3 * 2**400_000) == {2: 400_000, 3: 1}
+    assert 0 < calls <= 2 * math.log2(400_000) + 2

@@ -310,19 +310,6 @@ def test_britton_products_are_size_capped(monkeypatch):
         normalize(BSParams(2, 3), parse_word("t^1000000000000"))
 
 
-@pytest.fixture
-def digit_limit():
-    """Python's default int <-> str digit limit for the test, where it has one."""
-    get = getattr(sys, "get_int_max_str_digits", None)
-    if get is None:
-        yield None
-        return
-    saved = get()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
-    sys.set_int_max_str_digits(saved)
-
-
 def test_huge_exponents_parse_and_print_outside_the_cli(digit_limit):
     # 4516 and 5000 digits: past the default limit
     assert str(normalize(BSParams(1, 2), parse_word("t^-15000 a t^15000"))) == f"a^{decimal(2**15000)}"

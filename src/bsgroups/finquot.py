@@ -11,6 +11,8 @@ Two families of finite p-group quotients are built explicitly:
 
 Both are metabelian, so a word's image is a closed form in its a-exponent
 sums per t-level (words.level_sums), whose cost does not depend on |Q|.
+A record's fold reads those sums, so a search computes them once for the
+whole family.
 
 Their lower central series have closed forms.  From gamma_2 on, every
 term lies in the abelian base: p^min(k, (i-1)v) Z_{p^k} for the semidirect
@@ -81,9 +83,11 @@ class Semidirect(NamedTuple):
         return (0, 0)
 
     def word(self, w: Word):
+        return self.fold(*level_sums(w))
+
+    def fold(self, sums: dict[int, int], end: int):
         """x = sum of c_l u^(l mod p^j) over the level sums c_l (u^(p^j) = 1), y = -end."""
         pk, pj = self.p**self.k, self.p**self.j
-        sums, end = level_sums(w)
         x = sum(c * pow(self.u, l % pj, pk) for l, c in sums.items())
         return (x % pk, -end % pj)
 
@@ -122,9 +126,11 @@ class Wreath(NamedTuple):
         return ((0,) * self.p**self.j, 0)
 
     def word(self, w: Word):
+        return self.fold(*level_sums(w))
+
+    def fold(self, sums: dict[int, int], end: int):
         """The level sum c_l sits at position -l mod p^j, and the shift is -end."""
         L, pe = self.p**self.j, self.p**self.e
-        sums, end = level_sums(w)
         f = [0] * L
         for l, c in sums.items():
             f[-l % L] += c
@@ -168,22 +174,22 @@ def bs_relation_holds(q: FinQuot, m: int, n: int) -> bool:
 def build_semidirect(p: int, k: int, j: int, m: int, n: int) -> Semidirect:
     canonical_form(m, n)  # refuses a zero parameter
     if not is_prime(p):
-        raise DomainError(f"p = {p} is not prime")
+        raise DomainError(f"p = {decimal(p)} is not prime")
     if k < 1 or j < 1:
         raise DomainError("k and j must be positive")
     if k + j > _max_exponent(p, CONSTRUCTION_ORDER_CAP):
-        raise DomainError(f"order {p}^{k + j} exceeds the construction cap")
+        raise DomainError(f"order {decimal(p)}^{decimal(k + j)} exceeds the construction cap")
     pk = p**k
     if m % p == 0:
-        raise DomainError(f"gcd(m, p) != 1: p = {p} divides m = {m}")
+        raise DomainError(f"gcd(m, p) != 1: p = {decimal(p)} divides m = {decimal(m)}")
     u = n * pow(m, -1, pk) % pk
     if u % p != 1:
         raise DomainError(
-            f"u = n/m = {u % p} mod {p}, but u = 1 mod p is required"
+            f"u = n/m = {decimal(u % p)} mod {decimal(p)}, but u = 1 mod p is required"
         )
     if pow(u, p**j, pk) != 1:
         raise DomainError(
-            f"order of u = {u} mod {pk} does not divide {p}^{j}"
+            f"order of u = {decimal(u)} mod {decimal(pk)} does not divide {decimal(p)}^{decimal(j)}"
         )
     q = Semidirect(p, k, j, u)
     if not bs_relation_holds(q, m, n):
@@ -193,14 +199,13 @@ def build_semidirect(p: int, k: int, j: int, m: int, n: int) -> Semidirect:
 
 def build_wreath(p: int, e: int, j: int) -> Wreath:
     if not is_prime(p):
-        raise DomainError(f"p = {p} is not prime")
+        raise DomainError(f"p = {decimal(p)} is not prime")
     if e < 1 or j < 1:
         raise DomainError("e and j must be positive")
     top = _max_exponent(p, CONSTRUCTION_ORDER_CAP)
     if j > top or e * p**j + j > top:  # |Q| = p^(e p^j + j)
-        raise DomainError(
-            f"wreath order {p}^({e} * {p}^{j} + {j}) exceeds the construction cap"
-        )
+        p_, e_, j_ = map(decimal, (p, e, j))
+        raise DomainError(f"wreath order {p_}^({e_} * {p_}^{j_} + {j_}) exceeds the construction cap")
     return Wreath(p, e, j)
 
 
@@ -441,12 +446,13 @@ def certify_not_in_gamma(
     """
     if i < 2:
         raise DomainError("certification index must be >= 2")
+    sums = level_sums(w)  # every image is a fold of these
     for q in quotient_family(m, n, budget):
         if not bs_relation_holds(q, m, n):
             raise VerificationError(
                 f"family produced an invalid quotient {q.describe()}"
             )
-        image = fq_eval(q, w)
+        image = q.fold(*sums)
         if image == q.identity:
             continue
         chain = fq_gamma_series(q)

@@ -82,7 +82,7 @@ def _is_prime_cofactor(c: int) -> bool:
         return False
     if c < MR_EXACT_BOUND:
         return True
-    raise DomainError(f"cannot factor {c}: Miller-Rabin is exact only below {MR_EXACT_BOUND}")
+    raise DomainError(f"cannot factor {decimal(c)}: Miller-Rabin is exact only below {MR_EXACT_BOUND}")
 
 
 def _rho(n: int) -> int:
@@ -99,7 +99,7 @@ def _rho(n: int) -> int:
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             if budget is not None and steps > budget:
-                raise DomainError(f"cannot factor {n} within {budget} Pollard rho steps")
+                raise DomainError(f"cannot factor {decimal(n)} within {budget} Pollard rho steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -145,28 +145,36 @@ def prime_power(n: int) -> tuple[int, int] | None:
 def valuation(x: int, p: int) -> int:
     """Largest v with p^v dividing x != 0, for |p| >= 2 (p need not be prime).
 
-    A squaring ladder: divide by p, p^2, p^4, ... while each divides, then
-    try the same squares on the way down, so v costs O(log v) divisions.
+    v = 0 and v = 1, the common cases, cost one and two divisions.  Past
+    them a squaring ladder divides by p, p^2, p^4, ... while each divides,
+    then tries the same squares on the way down, so v costs O(log v)
+    divisions.
     """
     if not x:
         raise ValueError("valuation of 0 is infinite")
     if -2 < p < 2:
         raise ValueError(f"valuation needs |p| >= 2, got p = {p}")
-    if x % p:
+    q, r = divmod(x, p)
+    if r:
         return 0
+    x, r = divmod(q, p)
+    if r:
+        return 1
+    # p^2 is out: the ladder counts the factors of p left in x
     squares = []
     q, r = divmod(x, p)
     while not r:
         squares.append(p)
         x, p = q, p * p
         q, r = divmod(x, p)
-    # 2^len(squares) - 1 factors are out, and fewer than 2^len(squares) are
-    # left: read the binary digits of their count from the largest square down
+    # 2 + 2^len(squares) - 1 factors are out, and fewer than 2^len(squares)
+    # are left: read the binary digits of their count from the largest square
+    # down
     v = 0
     for s in reversed(squares):
         q, r = divmod(x, s)
         x, v = (x, 2 * v) if r else (q, 2 * v + 1)
-    return v + (1 << len(squares)) - 1
+    return v + (1 << len(squares)) + 1
 
 
 # CPython (3.10.7 on) refuses int <-> str conversions past a process-wide

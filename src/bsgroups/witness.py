@@ -85,7 +85,7 @@ def _verified(p: BSParams, expr: CommExpr, target: Word, depth: int,
     if evaluate(G, expr) != G.word(target):
         raise VerificationError(
             f"witness {pretty_print(expr)} does not evaluate to {target} "
-            f"in BS({p.m},{p.n})"
+            f"in BS({decimal(p.m)},{decimal(p.n)})"
         )
     lb = gamma_weight_lower_bound(expr)
     if lb is not None and lb < depth:
@@ -128,10 +128,10 @@ def gamma_membership_witness(
     d = gcd(p.m, abs(p.n))
     if p.n != p.m + d:
         raise DomainError(
-            f"no witness recipe for BS({p.m},{p.n}): it needs n = m + gcd(m, n)"
+            f"no witness recipe for BS({decimal(p.m)},{decimal(p.n)}): it needs n = m + gcd(m, n)"
         )
     if target != Word.from_pairs((("a", d),)):
-        raise DomainError(f"unsupported target {target}; expected a^{d}")
+        raise DomainError(f"unsupported target {target}; expected a^{decimal(d)}")
     k = p.m // d
     expr: CommExpr = Commutator(Power(Gen("a"), p.m), Gen("t"))
     for _ in range(s - 2):
@@ -171,7 +171,7 @@ def omega_stability_check(p: BSParams, max_bits: int | None = None) -> OmegaStab
     if rep.gamma_omega.kind != "equals":
         raise DomainError(
             "stability check needs a group whose gamma_omega is known to be "
-            f"the normal closure of a power of a; BS({p.m},{p.n}) has "
+            f"the normal closure of a power of a; BS({decimal(p.m)},{decimal(p.n)}) has "
             f"gamma_omega {rep.gamma_omega}"
         )
     d = rep.gamma_omega.d

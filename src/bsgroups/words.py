@@ -21,7 +21,9 @@ Conventions used by the whole package:
 An expression is evaluated in any Group: a run of generator powers goes to
 the group as one free word, and the values of a product's factors are
 multiplied in pairs, level by level, so no product copies a long prefix once
-per factor.
+per factor.  In the free group a value carries its inverse, so a bracket
+costs copies of the halves it joins, not work per syllable; parse_word
+returns the word half, and a flat text never builds the inverse.
 
 All exponents are exact Python ints.  Rewriting elsewhere in the package can
 make exponents explode (conjugation by t^k scales a-exponents by n^k), so a
@@ -457,25 +459,47 @@ def power(G, x, e: int):
     return acc
 
 
+def _capped(w: Word, cap: int) -> Word:
+    _check_cap(max((abs(e) for _, e in w.syllables), default=0), cap)
+    return w
+
+
 def free_group(cap: int) -> Group:
-    """Free group on a, t: reduced Words with bit-capped exponents."""
+    """Free group on a, t with bit-capped exponents.  An element is the pair
+    (w, w^-1) of reduced Words, so inverting swaps the halves and no
+    commutator, conjugate or negative power reverses a long word: every
+    product is tuple slicing and concatenation."""
+    values: dict[Word, tuple[Word, Word]] = {}
 
-    def word(w: Word) -> Word:
-        _check_cap(max((abs(e) for _, e in w.syllables), default=0), cap)
-        return w
+    def word(w: Word) -> tuple[Word, Word]:
+        # a tree repeats its generator letters, so each distinct run is
+        # inverted once per group
+        value = values.get(w)
+        if value is None:
+            value = values[w] = (_capped(w, cap), w.inverse())
+        return value
 
-    def mul(x: Word, y: Word) -> Word:
-        # both factors are reduced, so they cancel or merge only at the seam
-        xs, ys = x.syllables, y.syllables
-        k, i, seam = len(xs), 0, ()
+    def mul(x: tuple[Word, Word], y: tuple[Word, Word]) -> tuple[Word, Word]:
+        # both factors are reduced, so they cancel or merge only at the seam;
+        # y^-1 x^-1 cancels the mirror image of that seam
+        xs, ys = x[0].syllables, y[0].syllables
+        k, i, seam, mirror = len(xs), 0, (), ()
         while not seam and k and i < len(ys) and xs[k - 1][0] == ys[i][0]:
             k, i = k - 1, i + 1
             e = xs[k][1] + ys[i - 1][1]
-            seam = ((ys[i - 1][0], _check_cap(e, cap)),) if e else ()
+            if e:
+                g = ys[i - 1][0]
+                seam, mirror = ((g, _check_cap(e, cap)),), ((g, -e),)
         _check_size(k + len(seam) + len(ys) - i)
-        return Word(xs[:k] + seam + ys[i:])
+        return (
+            Word(xs[:k] + seam + ys[i:]),
+            Word(y[1].syllables[: len(ys) - i] + mirror + x[1].syllables[len(xs) - k :]),
+        )
 
-    return Group(Word(), word, mul, Word.inverse)
+    def inv(x: tuple[Word, Word]) -> tuple[Word, Word]:
+        return x[1], x[0]
+
+    return Group((Word(), Word()), word, mul, inv)
 
 
 def _syllable(expr: CommExpr):
@@ -545,11 +569,11 @@ def evaluate(G: Group, expr: CommExpr):
 
 def eval_expr(expr: CommExpr, max_bits: int | None = None) -> Word:
     """Evaluate an expression to a freely reduced Word."""
-    return evaluate(free_group(resolve_max_bits(max_bits)), expr)
+    return evaluate(free_group(resolve_max_bits(max_bits)), expr)[0]
 
 
-def _flat_value(G: Group, text: str, cap: int):
-    """G.word of a text of generator runs only, or None for any other text.
+def _flat_word(text: str, cap: int) -> Word | None:
+    """The Word of a text of generator runs only, or None for any other text.
     Literals are read in text order, so an over-cap literal raises here as in
     the parser; any other fault is left to the parser to report."""
     if "(" in text or "[" in text:
@@ -567,20 +591,23 @@ def _flat_value(G: Group, text: str, cap: int):
             pairs += map(syllable, letters)
         elif other:
             return None
-    return G.word(Word.from_pairs(pairs)) if pairs else None
+    return Word.from_pairs(pairs) if pairs else None
 
 
 def evaluate_text(G: Group, text: str, max_bits: int | None = None):
     """Value in G of the expression a text spells: a text without brackets or
     parentheses goes straight to syllables and to G.word in one call, which is
     what evaluating its tree does; any other text is parsed and evaluated."""
-    value = _flat_value(G, text, resolve_max_bits(max_bits))
-    return evaluate(G, parse_expr(text, max_bits)) if value is None else value
+    w = _flat_word(text, resolve_max_bits(max_bits))
+    return evaluate(G, parse_expr(text, max_bits)) if w is None else G.word(w)
 
 
 def parse_word(text: str, max_bits: int | None = None) -> Word:
-    """evaluate_text in the free group; handy for the library and tests."""
-    return evaluate_text(free_group(resolve_max_bits(max_bits)), text, max_bits)
+    """evaluate_text in the free group, as a Word; handy for the library and
+    tests.  A flat text is read to its Word alone, with no inverse built."""
+    cap = resolve_max_bits(max_bits)
+    w = _flat_word(text, cap)
+    return evaluate(free_group(cap), parse_expr(text, cap))[0] if w is None else _capped(w, cap)
 
 
 def gamma_weight_lower_bound(expr: CommExpr):

@@ -16,10 +16,12 @@ from bsgroups.words import (
     MAX_NESTING,
     Commutator,
     Gen,
+    Group,
     Power,
     Product,
     Word,
     _check_cap,
+    _check_size,
     decimal,
     level_sums,
     power,
@@ -357,6 +359,28 @@ def reference_to_affine(n: int, w: Word, max_bits: int | None = None) -> AffineE
         acc = _check_cap((acc * _pow(n, level - l, cap) if acc else 0) + coeffs[l], cap)
         level = l
     return AffineElem(k, reference_zn_canon(n, acc, -level, cap))
+
+
+def reference_free_group(cap: int) -> Group:
+    """The free group with Words as its values, inverted by Word.inverse: the
+    oracle for words.free_group, whose values are (word, inverse) pairs."""
+
+    def word(w: Word) -> Word:
+        _check_cap(max((abs(e) for _, e in w.syllables), default=0), cap)
+        return w
+
+    def mul(x: Word, y: Word) -> Word:
+        # both factors are reduced, so they cancel or merge only at the seam
+        xs, ys = x.syllables, y.syllables
+        k, i, seam = len(xs), 0, ()
+        while not seam and k and i < len(ys) and xs[k - 1][0] == ys[i][0]:
+            k, i = k - 1, i + 1
+            e = xs[k][1] + ys[i - 1][1]
+            seam = ((ys[i - 1][0], _check_cap(e, cap)),) if e else ()
+        _check_size(k + len(seam) + len(ys) - i)
+        return Word(xs[:k] + seam + ys[i:])
+
+    return Group(Word(), word, mul, Word.inverse)
 
 
 def reference_valuation(x: int, p: int) -> int:

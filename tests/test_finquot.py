@@ -28,7 +28,7 @@ from bsgroups.finquot import (
     quotient_family,
 )
 from bsgroups.intmath import prime_factors, valuation
-from bsgroups.words import Word, evaluate, parse_expr, parse_word, power
+from bsgroups.words import Word, decimal, evaluate, level_sums, parse_expr, parse_word, power
 
 from helpers import (
     assert_same_json,
@@ -92,6 +92,17 @@ def test_zero_parameters_are_refused():
             certify_not_in_gamma(m, n, parse_word("a"), 2)
         with pytest.raises(DomainError, match="parameters must be nonzero"):
             build_semidirect(2, 1, 1, m, n)
+
+
+def test_huge_parameters_in_build_errors(digit_limit):
+    # each message spells the parameter in full, past the default digit limit
+    m = 2 * (2**20000 + 1)
+    with pytest.raises(DomainError, match="divides m = ") as exc:
+        build_semidirect(2, 1, 1, m, 3)
+    assert str(exc.value).endswith(decimal(m))
+    with pytest.raises(DomainError, match="exceeds the construction cap") as exc:
+        build_wreath(2, 2**20000, 1)
+    assert f"({decimal(2**20000)} * 2^1 + 1)" in str(exc.value)
 
 
 def test_build_wreath():
@@ -247,6 +258,32 @@ def test_verify_rebuilds_the_chain(monkeypatch):
     # a^2 lies in gamma_2 of BS(1, 3), so a claim at i = 2 must be refused
     forged = Certificate(1, 3, cert.word, cert.quotient, cert.image, 2, cert.gamma_sizes)
     assert not forged.verify()
+
+
+def test_certify_sums_the_levels_once(monkeypatch):
+    # all 18 quotients of BS(1, 3) fold the same level sums: one call for the
+    # search, one more in verify()
+    from bsgroups import finquot
+
+    w = parse_word("[a, t]^2 T a^2 t")
+    searched = 0
+
+    def counting(v):
+        nonlocal searched
+        searched += v == w
+        return level_sums(v)
+
+    monkeypatch.setattr(finquot, "level_sums", counting)
+    assert len(quotient_family(1, 3)) == 18
+    cert = certify_not_in_gamma(1, 3, w, 3)
+    assert cert is not None and searched == 1
+    assert cert.verify() and searched == 2
+    # an inconclusive search also reads the word once: a 4-fold
+    # [..[a, t].., t] lies in gamma_5
+    w = parse_word("[[[[a, t], t], t], t]")
+    searched = 0
+    assert certify_not_in_gamma(1, 3, w, 5) is None
+    assert searched == 1
 
 
 def test_relation_holds_across_family():

@@ -103,6 +103,26 @@ def test_valuation_matches_one_division_per_factor(p, c, v):
     assert valuation(-x, -p) == reference_valuation(x, p)
 
 
+def test_valuation_below_two_costs_one_or_two_divisions(monkeypatch):
+    # a module global divmod shadows the builtin for intmath alone
+    calls = 0
+
+    def counting(x, p):
+        nonlocal calls
+        calls += 1
+        return divmod(x, p)
+
+    monkeypatch.setattr(intmath, "divmod", counting, raising=False)
+    for p in (2, 3, -5, 7, 2**61 - 1):
+        for c in (1, -1, 11, 2**89 + 1, -(10**30 + 3)):
+            if c % p == 0:
+                continue
+            for v, most in ((0, 1), (1, 2), (2, 3)):
+                calls = 0
+                assert valuation(c * p**v, p) == reference_valuation(c * p**v, p) == v
+                assert calls == most, (p, c, v)
+
+
 def test_valuation_refuses_units_zero_and_zero_modulus():
     for p in (-1, 0, 1):
         with pytest.raises(ValueError):

@@ -9,7 +9,18 @@ from bsgroups.witness import (
     lemma2_witness,
     omega_stability_check,
 )
-from bsgroups.words import MAX_NESTING, Commutator, Gen, Power, Product, eval_expr, parse_expr, parse_word, pretty_print
+from bsgroups.words import (
+    MAX_NESTING,
+    Commutator,
+    Gen,
+    Power,
+    Product,
+    decimal,
+    eval_expr,
+    parse_expr,
+    parse_word,
+    pretty_print,
+)
 
 from helpers import (
     assert_same_json,
@@ -170,3 +181,11 @@ def test_witness_text_matches_handler_text():
     for m, n in OMEGA_GRID:
         rep = omega_stability_check(BSParams(m, n))
         assert str(rep) == reference_omega_text(rep)
+
+
+def test_huge_parameters_in_witness_errors(digit_limit):
+    # the message spells m in full, past the default digit limit
+    m = 2**20000 + 1
+    with pytest.raises(DomainError, match="no witness recipe") as exc:
+        gamma_membership_witness(BSParams(m, 3), parse_word("a"), 3)
+    assert f"BS({decimal(m)},3)" in str(exc.value)

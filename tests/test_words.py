@@ -34,7 +34,7 @@ from bsgroups.words import (
     power,
     decimal,
 )
-from helpers import reference_parse_expr
+from helpers import reference_free_group, reference_parse_expr
 
 word_pairs = st.lists(
     st.tuples(st.sampled_from("at"), st.integers(-4, 4).filter(lambda e: e != 0)),
@@ -220,9 +220,10 @@ def test_word_str_forms():
 def test_free_group_power():
     F = free_group(64)
     w = parse_word("a t")
-    assert power(F, w, 3) == w * w * w
-    assert power(F, w, -1) == w.inverse()
-    assert power(F, w, 0).is_identity
+    x = F.word(w)
+    assert power(F, x, 3) == (w * w * w, (w * w * w).inverse())
+    assert power(F, x, -1) == (w.inverse(), w)
+    assert power(F, x, 0) == F.identity == (Word(), Word())
 
 
 def test_exponent_cap():
@@ -255,8 +256,9 @@ def test_evaluate_in_affine_matches_the_free_word():
 
 
 def test_power_matches_repeated_mul():
+    F, w = free_group(64), parse_word("a t^2 A")
     groups = [
-        (free_group(64), parse_word("a t^2 A")),
+        (F, F.word(w)),
         (bs_group(BSParams(2, 3)), normalize(BSParams(2, 3), parse_word("t a"))),
         (affine_group(3), to_affine(3, parse_word("t a"))),
         (build_semidirect(2, 3, 1, 1, 3), (3, 1)),
@@ -268,6 +270,11 @@ def test_power_matches_repeated_mul():
             assert power(G, x, e) == acc
             assert power(G, x, -e) == G.inv(acc)
             acc = G.mul(acc, x)
+    # each free value is the oracle's word with its inverse
+    R = reference_free_group(64)
+    for e in range(-11, 12):
+        we = power(R, w, e)
+        assert power(F, F.word(w), e) == (we, we.inverse())
 
 
 def test_free_words_are_size_capped():
@@ -285,7 +292,9 @@ def test_free_words_are_size_capped():
 @given(word_pairs, word_pairs)
 def test_free_mul_matches_word_product(p1, p2):
     u, v = Word.from_pairs(p1), Word.from_pairs(p2)
-    assert free_group(64).mul(u, v) == u * v
+    F = free_group(64)
+    assert F.mul(F.word(u), F.word(v)) == (u * v, (u * v).inverse())
+    assert F.mul(F.inv(F.word(u)), F.word(v)) == (u.inverse() * v, v.inverse() * u)
 
 
 def test_merged_exponents_are_capped():
@@ -539,6 +548,45 @@ _groups = st.one_of(
     st.builds(lambda m, n: bs_group(BSParams(m, n)), _nonzero, _nonzero),
     st.builds(affine_group, _nonzero),
 )
+
+
+def _free_outcome(G, expr):
+    try:
+        return evaluate(G, expr)
+    except ExponentCapExceeded as exc:
+        return "ExponentCapExceeded", str(exc), exc.bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs, st.integers(1, 12))
+def test_free_values_are_the_word_and_its_inverse(expr, cap):
+    # the same pair as the Word-valued free group's word and its inverse, or
+    # the same cap error
+    w = _free_outcome(reference_free_group(cap), expr)
+    want = (w, w.inverse()) if isinstance(w, Word) else w
+    assert _free_outcome(free_group(cap), expr) == want
+
+
+def test_free_values_invert_no_long_word(monkeypatch):
+    # Work, not time: every bracket joins the halves of pairs, so only the
+    # generator runs are inverted, each once per group.
+    calls = 0
+    inverse = Word.inverse
+
+    def counting(w):
+        nonlocal calls
+        calls += 1
+        return inverse(w)
+
+    monkeypatch.setattr(Word, "inverse", counting)
+    tower = "a"
+    for _ in range(16):
+        tower = f"[{tower}, t]"
+    assert len(parse_word(tower).syllables) == 2**17 + 1
+    assert calls <= 2
+    calls = 0
+    assert parse_word("a t^3 A^-2 T " * 1000).syllables[:2] == (("a", 1), ("t", 3))
+    assert calls == 0
 
 
 @settings(max_examples=150, deadline=None)

@@ -51,9 +51,9 @@ _EXPORTS = {
         "lemma2_witness", "omega_stability_check",
     ),
     "words": (
-        "Commutator", "Conjugate", "Gen", "Group", "Power", "Product", "Word", "eval_expr",
-        "evaluate", "evaluate_text", "exp_sums", "gamma_weight_lower_bound", "parse_expr", "parse_word",
-        "power", "pretty_print",
+        "Commutator", "Conjugate", "Gen", "Group", "Power", "Product", "Word", "evaluate",
+        "evaluate_text", "gamma_weight_lower_bound", "parse_expr", "parse_word", "power",
+        "pretty_print",
     ),
 }
 _HOME = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}

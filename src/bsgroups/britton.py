@@ -44,7 +44,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import DomainError, ExponentCapExceeded
-from .words import ExpSums, Group, Word, decimal, exp_sums, resolve_max_bits
+from .words import Group, Word, decimal, level_sums, resolve_max_bits
 from . import words
 from .words import _check_cap, _check_size
 
@@ -217,6 +217,6 @@ class AbImage(NamedTuple):
 
 
 def abelianize(p: BSParams, w: Word) -> AbImage:
-    s: ExpSums = exp_sums(w)
-    mod = abs(p.n - p.m)
-    return AbImage(s.sigma_t, s.sigma_a % mod if mod else s.sigma_a, mod)
+    sums, end = level_sums(w)
+    sigma_a, mod = sum(sums.values()), abs(p.n - p.m)
+    return AbImage(-end, sigma_a % mod if mod else sigma_a, mod)

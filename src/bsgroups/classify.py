@@ -60,11 +60,9 @@ def canonical_form(m: int, n: int) -> tuple[int, int]:
     """The unique presentation of the isomorphism class with 0 < m' <= |n'|."""
     if m == 0 or n == 0:
         raise DomainError("parameters must be nonzero")
-    candidates = {(m, n), (n, m), (-m, -n), (-n, -m)}
-    chosen = {c for c in candidates if 0 < c[0] <= abs(c[1])}
-    if len(chosen) != 1:
-        raise DomainError(f"canonicalization of ({m}, {n}) is ambiguous")
-    return chosen.pop()
+    if abs(m) > abs(n):
+        m, n = n, m
+    return (-m, -n) if m < 0 else (m, n)
 
 
 class ResiduallyP(NamedTuple):

@@ -55,6 +55,11 @@ def _max_exponent(p: int, cap: int) -> int:
     return e
 
 
+def _quotient_word(q, w: Word):
+    """Image of a free word: the record's fold of its level sums."""
+    return q.fold(*level_sums(w))
+
+
 def _quotient_json(q) -> dict:
     """Name, prime and size exponents: k is the base exponent (e for a wreath)."""
     p, k, j = q[:3]  # both families declare p, the base exponent and j first
@@ -82,9 +87,6 @@ class Semidirect(NamedTuple):
     def identity(self):
         return (0, 0)
 
-    def word(self, w: Word):
-        return self.fold(*level_sums(w))
-
     def fold(self, sums: dict[int, int], end: int):
         """x = sum of c_l u^(l mod p^j) over the level sums c_l (u^(p^j) = 1), y = -end."""
         pk, pj = self.p**self.k, self.p**self.j
@@ -103,6 +105,7 @@ class Semidirect(NamedTuple):
     def describe(self) -> str:
         return f"Z_{self.p**self.k} x|_{self.u} Z_{self.p**self.j}"
 
+    word = _quotient_word
     to_json_dict = _quotient_json
 
 
@@ -124,9 +127,6 @@ class Wreath(NamedTuple):
     @property
     def identity(self):
         return ((0,) * self.p**self.j, 0)
-
-    def word(self, w: Word):
-        return self.fold(*level_sums(w))
 
     def fold(self, sums: dict[int, int], end: int):
         """The level sum c_l sits at position -l mod p^j, and the shift is -end."""
@@ -155,6 +155,7 @@ class Wreath(NamedTuple):
     def describe(self) -> str:
         return f"Z_{self.p**self.e} wr Z_{self.p**self.j}"
 
+    word = _quotient_word
     to_json_dict = _quotient_json
 
 

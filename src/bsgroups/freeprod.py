@@ -20,9 +20,11 @@ while gamma_2(BS(m, -m)) = <a^(2m)> x (that free group).  split_central
 recovers the central exponent and the free coordinates, verifying the
 reassembly through Britton normal forms.
 
-r_generators lists the commutators [t^k a^d t^-k, a] that generate the
-relator subgroup, and free_subgroup_probe samples reduced words in the basis
-[t^k, a^s] and checks that their images in Z * Z_d stay nontrivial.
+r_generators spells the commutators [t^k a^d t^-k, a] that generate the
+relator subgroup as words of at most 8 syllables, and free_subgroup_probe
+samples reduced words in the basis [t^k, a^s] and checks that their images
+in Z * Z_d stay nontrivial.  Both refuse, before building anything, work
+whose words could pass the free-word syllable limit.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import NamedTuple
 from .britton import BSParams, abelianize, nf_equal, normalize
 from .classify import json_fields
 from .errors import DomainError, VerificationError
-from .words import Commutator, Conjugate, Gen, Power, Word, _reduce_pairs, decimal, eval_expr
+from .words import Word, _check_cap, _check_size, _reduce_pairs, decimal, resolve_max_bits
 
 
 class FreeProdWord(NamedTuple):
@@ -167,12 +169,21 @@ def split_central(p: BSParams, w: Word, max_bits: int | None = None) -> CentralS
 
 
 def r_generators(p: BSParams, K: int) -> list[Word]:
-    """The commutators [t^k a^d t^-k, a] for |k| <= K, freely reduced."""
+    """The commutators [t^k a^d t^-k, a] for |k| <= K, freely reduced: each is
+    t^k a^-d t^-k a^-1 t^k a^d t^-k a, which reduces to 1 at k = 0."""
     if K < 0:
         raise DomainError("K must be >= 0")
-    a, t = Gen("a"), Gen("t")
-    conjugates = (Conjugate(Power(a, p.d), Power(t, -k)) for k in range(-K, K + 1))
-    return [eval_expr(Commutator(x, a)) for x in conjugates]
+    _check_size(8 * (2 * K + 1))  # each generator has at most 8 syllables
+    d = p.d
+    # capped as every free word is: d, K, and d + 1 where a^-d a^-1 meet at k = 0
+    cap = resolve_max_bits()
+    for e in (d, K, d + 1):
+        _check_cap(e, cap)
+    return [
+        Word.from_pairs((("t", k), ("a", -d), ("t", -k), ("a", -1),
+                         ("t", k), ("a", d), ("t", -k), ("a", 1)))
+        for k in range(-K, K + 1)
+    ]
 
 
 class ProbeReport(NamedTuple):
@@ -220,6 +231,7 @@ def free_subgroup_probe(
         raise DomainError("K must be >= 1")
     if max_len < 0:
         raise DomainError("max_len must be >= 0")
+    _check_size(4 * max_len)  # each basis letter lifts to 4 syllables
     rng = Random(seed)
     checked = nontrivial = skipped = 0
     failures: list[str] = []

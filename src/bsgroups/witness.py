@@ -95,6 +95,14 @@ def _verified(p: BSParams, expr: CommExpr, target: Word, depth: int,
     return MembershipWitness(expr, target, depth, p.m, p.n)
 
 
+def _tower(m: int, q: int, depth: int) -> CommExpr:
+    """The depth-fold [..[a^m, t]^q.., t]: [a^m, t], then [x^q, t] of the last x."""
+    expr: CommExpr = Commutator(Power(Gen("a"), m), Gen("t"))
+    for _ in range(depth - 1):
+        expr = Commutator(Power(expr, q), Gen("t"))
+    return expr
+
+
 def lemma2_witness(p: BSParams, i: int, max_bits: int | None = None) -> MembershipWitness:
     """W_i with value a^((n-m)^i), an i-fold commutator, so W_i is in gamma_{i+1}.
 
@@ -102,9 +110,7 @@ def lemma2_witness(p: BSParams, i: int, max_bits: int | None = None) -> Membersh
     """
     if not 1 <= i <= MAX_NESTING:
         raise DomainError(f"witness index must be between 1 and {MAX_NESTING}")
-    expr: CommExpr = Commutator(Power(Gen("a"), p.m), Gen("t"))
-    for _ in range(i - 1):
-        expr = Commutator(Power(expr, p.m), Gen("t"))
+    expr = _tower(p.m, p.m, i)
     target = Word.from_pairs((("a", (p.n - p.m) ** i),))
     w = _verified(p, expr, target, i + 1, max_bits)
     if comm_depth(expr) != i:
@@ -132,11 +138,7 @@ def gamma_membership_witness(
         )
     if target != Word.from_pairs((("a", d),)):
         raise DomainError(f"unsupported target {target}; expected a^{decimal(d)}")
-    k = p.m // d
-    expr: CommExpr = Commutator(Power(Gen("a"), p.m), Gen("t"))
-    for _ in range(s - 2):
-        expr = Commutator(Power(expr, k), Gen("t"))
-    return _verified(p, expr, target, s, max_bits)
+    return _verified(p, _tower(p.m, p.m // d, s - 1), target, s, max_bits)
 
 
 class OmegaStabilityReport(NamedTuple):
@@ -178,8 +180,7 @@ def omega_stability_check(p: BSParams, max_bits: int | None = None) -> OmegaStab
     cm, cn = rep.canonical
     q = BSParams(cm, cn)
     k = cm // d
-    expr = Commutator(Power(Gen("a"), k * d), Gen("t"))
-    _verified(q, expr, Word.from_pairs((("a", d),)), 2, max_bits)
-    a_d, a_kd = f"a^{decimal(d)}", f"a^{decimal(k * d)}"
+    _verified(q, _tower(cm, 1, 1), Word.from_pairs((("a", d),)), 2, max_bits)
+    a_d, a_kd = f"a^{decimal(d)}", f"a^{decimal(cm)}"
     identity = f"{a_d} = [{a_kd}, t] with {a_kd} in gamma_omega"
     return OmegaStabilityReport(p.m, p.n, d, k, identity, True)

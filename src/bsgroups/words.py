@@ -25,6 +25,10 @@ per factor.  In the free group a value carries its inverse, so a bracket
 costs copies of the halves it joins, not work per syllable; parse_word
 returns the word half, and a flat text never builds the inverse.
 
+A word's a-exponent sum at each t-level (level_sums) is all that its image
+in a metabelian group needs: the abelianization, the affine model of
+BS(1, n) and the finite quotients all read it.
+
 All exponents are exact Python ints.  Rewriting elsewhere in the package can
 make exponents explode (conjugation by t^k scales a-exponents by n^k), so a
 bit cap is enforced wherever integers can grow; the default is 1,000,000 bits
@@ -110,7 +114,9 @@ def _int_literal(sign: str, digits: str, cap: int) -> int:
 
 def _check_size(syllables: int) -> None:
     if syllables > _MAX_SYLLABLES:
-        raise WordSizeExceeded(f"word would reach {syllables} syllables, limit {_MAX_SYLLABLES}")
+        raise WordSizeExceeded(
+            f"word would reach {decimal(syllables)} syllables, limit {_MAX_SYLLABLES}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -159,25 +165,11 @@ class Word(NamedTuple):
         return " ".join(g if e == 1 else f"{g}^{decimal(e)}" for g, e in self.syllables)
 
 
-class ExpSums(NamedTuple):
-    sigma_a: int
-    sigma_t: int
-
-
-def exp_sums(w: Word) -> ExpSums:
-    """Exponent sums (sigma_a, sigma_t); a homomorphism to Z x Z."""
-    sa = st = 0
-    for g, e in w.syllables:
-        if g == "a":
-            sa += e
-        else:
-            st += e
-    return ExpSums(sa, st)
-
-
 def level_sums(w: Word) -> tuple[dict[int, int], int]:
     """The a-exponent sum at each level k = -(t-exponent read so far), and the
-    final level: the data a metabelian image (affine, finite quotient) needs."""
+    final level: the data a metabelian image (abelianization, affine, finite
+    quotient) needs.  The a-exponent sum is the sum of the level sums, and the
+    t-exponent sum is minus the final level."""
     sums: dict[int, int] = {}
     k = 0
     for g, e in w.syllables:
@@ -565,11 +557,6 @@ def evaluate(G: Group, expr: CommExpr):
         x, y = evaluate(G, expr.inner), evaluate(G, expr.by)
         return G.mul(G.mul(G.inv(y), x), y)
     raise TypeError(f"not a CommExpr: {expr!r}")
-
-
-def eval_expr(expr: CommExpr, max_bits: int | None = None) -> Word:
-    """Evaluate an expression to a freely reduced Word."""
-    return evaluate(free_group(resolve_max_bits(max_bits)), expr)[0]
 
 
 def _flat_word(text: str, cap: int) -> Word | None:

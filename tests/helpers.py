@@ -15,6 +15,7 @@ from bsgroups.freeprod import BasisWord, FreeProdWord, _emit
 from bsgroups.words import (
     MAX_NESTING,
     Commutator,
+    Conjugate,
     Gen,
     Group,
     Power,
@@ -23,6 +24,8 @@ from bsgroups.words import (
     _check_cap,
     _check_size,
     decimal,
+    evaluate,
+    free_group,
     level_sums,
     power,
     resolve_max_bits,
@@ -750,3 +753,51 @@ def reference_quotient_family(m: int, n: int, budget) -> list:
                     out.append(q)
     out.sort(key=lambda q: q.order)
     return out
+
+
+def reference_r_generators(p: BSParams, K: int) -> list[Word]:
+    """freeprod.r_generators as it was when it evaluated a commutator tree in
+    the free group: the oracle for the closed form spelled by Word.from_pairs."""
+    if K < 0:
+        raise DomainError("K must be >= 0")
+    a, t = Gen("a"), Gen("t")
+    conjugates = (Conjugate(Power(a, p.d), Power(t, -k)) for k in range(-K, K + 1))
+    return [evaluate(free_group(resolve_max_bits(None)), Commutator(x, a))[0] for x in conjugates]
+
+
+def reference_canonical_form(m: int, n: int) -> tuple[int, int]:
+    """classify.canonical_form as it was when it searched the four equivalent
+    presentations: the oracle for the swap and the sign."""
+    if m == 0 or n == 0:
+        raise DomainError("parameters must be nonzero")
+    candidates = {(m, n), (n, m), (-m, -n), (-n, -m)}
+    chosen = {c for c in candidates if 0 < c[0] <= abs(c[1])}
+    if len(chosen) != 1:
+        raise DomainError(f"canonicalization of ({m}, {n}) is ambiguous")
+    return chosen.pop()
+
+
+def reference_lemma2_tree(m: int, i: int):
+    """The lemma2 witness tree as its own loop built it: W_1 = [a^m, t],
+    W_(j+1) = [W_j^m, t]."""
+    expr = Commutator(Power(Gen("a"), m), Gen("t"))
+    for _ in range(i - 1):
+        expr = Commutator(Power(expr, m), Gen("t"))
+    return expr
+
+
+def reference_member_tree(m: int, d: int, s: int):
+    """The gamma_s membership witness tree as its own loop built it:
+    U_1 = [a^m, t], U_(j+1) = [U_j^(m/d), t]."""
+    k = m // d
+    expr = Commutator(Power(Gen("a"), m), Gen("t"))
+    for _ in range(s - 2):
+        expr = Commutator(Power(expr, k), Gen("t"))
+    return expr
+
+
+def reference_omega_tree(cm: int, d: int):
+    """The identity [a^(kd), t] = a^d that the omega stability check verifies,
+    k = cm / d."""
+    k = cm // d
+    return Commutator(Power(Gen("a"), k * d), Gen("t"))

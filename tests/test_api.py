@@ -33,6 +33,12 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+# Traced targets deleted from the package on purpose.  Their layers read 0
+# until the benchmark's target list drops them (ROADMAP item 4); each must
+# really be gone, so an entry here cannot hide a function that still exists.
+_RETIRED_TARGETS = {("words", "eval_expr")}
+
+
 def test_traced_targets_resolve():
     # The tracer skips a target it cannot find, so a renamed function would
     # make its per-layer metric read 0 without any error.
@@ -40,6 +46,9 @@ def test_traced_targets_resolve():
     assert tracing.TARGETS
     for module, attr, _ in tracing.TARGETS:
         obj = importlib.import_module(f"bsgroups.{module}")
+        if (module, attr) in _RETIRED_TARGETS:
+            assert not hasattr(obj, attr), f"bsgroups.{module}.{attr} exists again"
+            continue
         for part in attr.split("."):
             assert hasattr(obj, part), f"bsgroups.{module}.{attr}"
             obj = getattr(obj, part)
@@ -165,7 +174,7 @@ def _records():
     that the dataclass-based records printed."""
     from bsgroups import (
         BSParams, Commutator, Conjugate, Gen, Power, Product, SearchBudget, Wreath, ZnElement,
-        certify_not_in_gamma, classify, exp_sums, fp_normalize, fp_rewrite_basis,
+        certify_not_in_gamma, classify, fp_normalize, fp_rewrite_basis,
         fq_gamma_series, free_subgroup_probe, lcs_weight, lemma2_witness, normalize,
         omega_stability_check, parse_word, prop5_chain, split_central, to_affine,
     )
@@ -177,7 +186,6 @@ def _records():
     cert = certify_not_in_gamma(1, 3, parse_word("a^2"), 3)
     return [
         (w, "Word(syllables=(('t', -1), ('a', 2), ('t', 1)))"),
-        (exp_sums(w), 'ExpSums(sigma_a=2, sigma_t=0)'),
         (a, "Gen(name='a')"),
         (Power(a, -2), "Power(base=Gen(name='a'), exp=-2)"),
         (Product((a, t)), "Product(factors=(Gen(name='a'), Gen(name='t')))"),

@@ -1,11 +1,12 @@
 import sys
+import time
 
 import pytest
 
 import bsgroups.freeprod as freeprod
 from bsgroups.britton import BSParams
 from bsgroups.classify import SWEEP_COLUMNS, canonical_form, classify, prop5_chain, sweep_csv
-from bsgroups.errors import DomainError
+from bsgroups.errors import DomainError, ExponentCapExceeded, WordSizeExceeded
 from bsgroups.finquot import certify_not_in_gamma
 from bsgroups.freeprod import ProbeReport, free_subgroup_probe, r_generators
 from bsgroups.witness import gamma_membership_witness, omega_stability_check
@@ -19,7 +20,9 @@ from helpers import (
     reference_class_text,
     reference_probe_json,
     reference_probe_text,
+    reference_canonical_form,
     reference_probe_words,
+    reference_r_generators,
     reference_sweep_row,
 )
 
@@ -36,6 +39,16 @@ def test_canonical_form():
     assert canonical_form(1, 1) == (1, 1)
     with pytest.raises(DomainError):
         canonical_form(0, 1)
+
+
+def test_canonical_form_matches_the_search_over_presentations():
+    values = [k for k in range(-40, 41) if k] + [10**30, -(10**30), 10**30 + 1, -(2**70)]
+    for m in values:
+        for n in values:
+            assert canonical_form(m, n) == reference_canonical_form(m, n), (m, n)
+    for m, n in ((0, 1), (1, 0), (0, 0), (0, -5)):
+        with pytest.raises(DomainError, match="parameters must be nonzero"):
+            canonical_form(m, n)
 
 
 def test_classify_frozen_rows():
@@ -215,6 +228,64 @@ def test_r_generators():
     assert len(only) == 1 and only[0].is_identity
     with pytest.raises(DomainError):
         r_generators(p, -1)
+
+
+R_GRID = (
+    (2, 4, 3), (2, 3, 5), (6, -9, 4), (1, -1, 2), (-3, 9, 3), (4, -6, 2), (5, 7, 0),
+    (1, 1, 2), (-2, -4, 1), (12, -18, 6), (3, -2, 4), (10**30, 10**30, 2),
+)
+
+
+def test_r_generators_match_the_commutator_trees():
+    # negative n, d = 1 and k = 0 included
+    for m, n, K in R_GRID:
+        p = BSParams(m, n)
+        assert r_generators(p, K) == reference_r_generators(p, K), (m, n, K)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ExponentCapExceeded as exc:
+        return str(exc)
+
+
+def test_r_generators_refuse_as_the_trees_did_under_a_bit_cap(monkeypatch):
+    # the exponents d, K and d + 1 (a^-d a^-1 at k = 0) meet the cap as before
+    for cap in (1, 2, 3, 4, 5, 8):
+        monkeypatch.setenv("BS_MAX_BITS", str(cap))
+        for m, n, K in ((8, 16, 2), (7, 14, 1), (3, 15, 40), (2, 3, 3), (255, 510, 1)):
+            p = BSParams(m, n)
+            assert _outcome(r_generators, p, K) == _outcome(reference_r_generators, p, K)
+
+
+def test_r_generators_refuse_a_list_past_the_syllable_limit(monkeypatch):
+    start = time.perf_counter()
+    for K in (10**9, 10**30, 125_000):
+        with pytest.raises(WordSizeExceeded, match="syllables, limit 2000000"):
+            r_generators(BSParams(2, 4), K)
+    assert time.perf_counter() - start < 0.5
+    # 8 (2K + 1) syllables at most, against the limit in force
+    monkeypatch.setattr("bsgroups.words._MAX_SYLLABLES", 1000)
+    assert len(r_generators(BSParams(2, 4), 62)) == 125
+    with pytest.raises(WordSizeExceeded, match="would reach 1016 syllables, limit 1000"):
+        r_generators(BSParams(2, 4), 63)
+
+
+def test_probe_refuses_a_lift_past_the_syllable_limit(monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("the probe drew before refusing")
+
+    monkeypatch.setattr(freeprod, "Random", no_draws)
+    for max_len in (10**9, 10**30, 500_001):
+        with pytest.raises(WordSizeExceeded, match="syllables, limit 2000000"):
+            free_subgroup_probe(BSParams(2, 4), max_len=max_len)
+    # 4 syllables per letter, against the limit in force
+    monkeypatch.setattr("bsgroups.words._MAX_SYLLABLES", 1000)
+    with pytest.raises(WordSizeExceeded, match="would reach 1004 syllables, limit 1000"):
+        free_subgroup_probe(BSParams(2, 4), max_len=251)
+    with pytest.raises(AssertionError, match="drew"):
+        free_subgroup_probe(BSParams(2, 4), max_len=250)
 
 
 def test_free_subgroup_probe():

@@ -426,7 +426,9 @@ _INTS = st.one_of(
     ]),
     st.integers(-(10**30), 10**30),
 )
-# Work linear in these by design, so they stay at or below 20.
+# Work linear in these by design, so they stay at or below 20.  rgen's -K
+# and fsub-probe's --max-len are refused at once past the free-word syllable
+# limit; the examples below take them to 10^9.
 _COUNTS = st.one_of(st.integers(-3, 20), st.integers(-(10**30), 20))
 _TEXT = st.text(alphabet="aAtT^-0123456789[](), ", max_size=30)
 
@@ -474,6 +476,8 @@ def _argv(draw):
 @example(["classify", "-m", "1", "-n", str(7**2000 + 2)])
 @example(["fsub-probe", "-m", "10000000", "-n", "10000000", "-K", "14", "--trials", "14"])
 @example(["fsub-probe", "-m", "5", "-n", "5", "-K", "5", "--trials", "9", "--max-len", "-1"])
+@example(["rgen", "-m", "2", "-n", "4", "-K", "1000000000"])
+@example(["fsub-probe", "-m", "2", "-n", "4", "--trials", "3", "--max-len", "1000000000"])
 @example(["oracle", "certify", "-m", "0", "-n", "0", "-i", "2", "a"])
 @example(["oracle", "certify", "-m", "3", "-n", "0", "-i", "2", "a"])
 @example(["oracle", "certify", "-m", "0", "-n", "3", "-i", "2", "a"])

@@ -16,16 +16,23 @@ from bsgroups.words import (
     Power,
     Product,
     decimal,
-    eval_expr,
+    evaluate,
+    free_group,
     parse_expr,
     parse_word,
     pretty_print,
 )
 
+import bsgroups.witness as witness
+from bsgroups.classify import classify
+
 from helpers import (
     assert_same_json,
+    reference_lemma2_tree,
+    reference_member_tree,
     reference_omega_json,
     reference_omega_text,
+    reference_omega_tree,
     reference_witness_text,
 )
 
@@ -90,9 +97,10 @@ def test_lemma2_inner_power_must_be_m():
     # replacing the inner m-th power by an n-th power breaks the identity
     p = BSParams(2, 5)
     wrong = Commutator(Power(Commutator(Power(Gen("a"), 2), Gen("t")), 5), Gen("t"))
-    assert not nf_equal(p, eval_expr(wrong), parse_word("a^9"))
+    F = free_group(64)
+    assert not nf_equal(p, evaluate(F, wrong)[0], parse_word("a^9"))
     right = lemma2_witness(p, 2).expr
-    assert nf_equal(p, eval_expr(right), parse_word("a^9"))
+    assert nf_equal(p, evaluate(F, right)[0], parse_word("a^9"))
 
 
 def test_lemma2_agrees_with_affine_weight():
@@ -121,7 +129,7 @@ def test_membership_witness_depth_scales():
     for s in range(2, 7):
         w = gamma_membership_witness(p, parse_word("a"), s)
         assert comm_depth(w.expr) == s - 1
-        assert nf_equal(p, eval_expr(w.expr), parse_word("a"))
+        assert nf_equal(p, evaluate(free_group(64), w.expr)[0], parse_word("a"))
 
 
 def test_membership_witness_preconditions():
@@ -189,3 +197,35 @@ def test_huge_parameters_in_witness_errors(digit_limit):
     with pytest.raises(DomainError, match="no witness recipe") as exc:
         gamma_membership_witness(BSParams(m, 3), parse_word("a"), 3)
     assert f"BS({decimal(m)},3)" in str(exc.value)
+
+
+def test_witness_trees_are_the_ones_their_loops_built(monkeypatch):
+    # every tree that _verified checks, printed, against the loop that built it
+    checked = []
+    verified = witness._verified
+
+    def recording(p, expr, *args):
+        checked.append(pretty_print(expr))
+        return verified(p, expr, *args)
+
+    monkeypatch.setattr(witness, "_verified", recording)
+    params = [(m, n) for m in range(-4, 6) for n in range(-6, 8) if m and n]
+    for m, n in params:
+        for i in (1, 2, 3, 5):
+            checked.clear()
+            lemma2_witness(BSParams(m, n), i)
+            assert checked == [pretty_print(reference_lemma2_tree(m, i))], (m, n, i)
+    for m in range(1, 9):
+        for d in (x for x in range(1, m + 1) if m % x == 0):
+            for s in (2, 3, 4, 6):
+                checked.clear()
+                gamma_membership_witness(BSParams(m, m + d), parse_word(f"a^{d}"), s)
+                assert checked == [pretty_print(reference_member_tree(m, d, s))], (m, d, s)
+    for m, n in params:
+        rep = classify(m, n)
+        if rep.gamma_omega.kind != "equals":
+            continue
+        checked.clear()
+        omega_stability_check(BSParams(m, n))
+        cm, d = rep.canonical[0], rep.gamma_omega.d
+        assert checked == [pretty_print(reference_omega_tree(cm, d))], (m, n)

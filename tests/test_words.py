@@ -9,24 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsgroups.affine import ZnElement, affine_group, to_affine
-from bsgroups.britton import BSParams, bs_group, normalize
+from bsgroups.britton import AbImage, BSParams, abelianize, bs_group, normalize
 from bsgroups.errors import ExponentCapExceeded, ParseError, WordSizeExceeded
 from bsgroups.finquot import build_semidirect, build_wreath
 from bsgroups.freeprod import BasisWord, FreeProdWord
 from bsgroups.words import (
     Commutator,
     Conjugate,
-    ExpSums,
+    DEFAULT_MAX_BITS,
     Gen,
     Group,
     Power,
     Product,
     Word,
-    eval_expr,
     evaluate,
     evaluate_text,
     MAX_NESTING,
-    exp_sums,
     free_group,
     parse_expr,
     parse_word,
@@ -35,6 +33,9 @@ from bsgroups.words import (
     decimal,
 )
 from helpers import reference_free_group, reference_parse_expr
+
+# Trees evaluate to free Words in F; its cap is the package default.
+F = free_group(DEFAULT_MAX_BITS)
 
 word_pairs = st.lists(
     st.tuples(st.sampled_from("at"), st.integers(-4, 4).filter(lambda e: e != 0)),
@@ -64,19 +65,33 @@ def test_word_times_inverse_reduces_to_identity(pairs):
     assert (w.inverse() * w).is_identity
 
 
+# The exponent sums (sigma_a, sigma_t) are read through abelianize: in
+# BS(m, m) its image is (sigma_t, sigma_a) exactly, and in BS(m, n) the
+# a-part is sigma_a mod |n - m|.
+ZZ = BSParams(1, 1)
+
+
 def test_exp_sums_examples():
-    assert exp_sums(Word.from_pairs([])) == ExpSums(0, 0)
+    assert abelianize(ZZ, Word.from_pairs([])) == AbImage(0, 0, 0)
     comm = parse_word("[a, t]")
-    assert exp_sums(comm) == ExpSums(0, 0)
-    assert exp_sums(parse_word("t^-1 a^2 t")) == ExpSums(sigma_a=2, sigma_t=0)
+    assert abelianize(ZZ, comm) == AbImage(0, 0, 0)
+    assert abelianize(ZZ, parse_word("t^-1 a^2 t")) == AbImage(t_part=0, a_part=2, modulus=0)
+    assert abelianize(BSParams(2, 5), parse_word("t^-1 a^7 t^4")) == AbImage(3, 1, 3)
 
 
 @settings(max_examples=50)
-@given(word_pairs, word_pairs)
-def test_exp_sums_additive(p1, p2):
+@given(word_pairs, word_pairs, st.sampled_from([(1, 1), (3, 3), (2, 5), (-3, 4), (4, -6)]))
+def test_exp_sums_additive(p1, p2, mn):
+    p = BSParams(*mn)
     u, v = Word.from_pairs(p1), Word.from_pairs(p2)
-    su, sv, sw = exp_sums(u), exp_sums(v), exp_sums(u * v)
-    assert sw == ExpSums(su.sigma_a + sv.sigma_a, su.sigma_t + sv.sigma_t)
+    su, sv, sw = abelianize(p, u), abelianize(p, v), abelianize(p, u * v)
+    mod = abs(p.n - p.m)
+    a_part = su.a_part + sv.a_part
+    assert sw == AbImage(su.t_part + sv.t_part, a_part % mod if mod else a_part, mod)
+    # the sums of the syllables' exponents, generator by generator
+    sigma_a = sum(e for g, e in p1 if g == "a") + sum(e for g, e in p2 if g == "a")
+    sigma_t = sum(e for g, e in p1 if g == "t") + sum(e for g, e in p2 if g == "t")
+    assert sw == AbImage(sigma_t, sigma_a % mod if mod else sigma_a, mod)
 
 
 def test_parse_structure():
@@ -85,7 +100,7 @@ def test_parse_structure():
     e = parse_expr("t^-1 a^2 t")
     assert e == Product((Power(Gen("t"), -1), Power(Gen("a"), 2), Gen("t")))
     # uppercase shorthand for inverses
-    assert eval_expr(parse_expr("A T")) == Word.from_pairs([("a", -1), ("t", -1)])
+    assert evaluate(F, parse_expr("A T"))[0] == Word.from_pairs([("a", -1), ("t", -1)])
     assert parse_expr("ta") == Product((Gen("t"), Gen("a")))
     # a trailing "^ int" binds to the last letter of a run only
     a, t, A, T = Gen("a"), Gen("t"), Power(Gen("a"), -1), Power(Gen("t"), -1)
@@ -113,7 +128,7 @@ def test_nesting_limit():
     # reaching the recursion limit; one more bracket is a ParseError there.
     deep = "(" * MAX_NESTING + "a" + ")^2" * MAX_NESTING
     expr = parse_expr(deep)
-    assert eval_expr(expr) == Word((("a", 2**MAX_NESTING),))
+    assert evaluate(F, expr)[0] == Word((("a", 2**MAX_NESTING),))
     assert parse_expr(pretty_print(expr)) == expr
     for bracket in "([":
         with pytest.raises(ParseError) as exc:
@@ -122,16 +137,16 @@ def test_nesting_limit():
 
 
 def test_eval_examples():
-    assert eval_expr(parse_expr("[a, t]")) == parse_word("a^-1 t^-1 a t")
-    assert eval_expr(Power(Gen("a"), 0)).is_identity
-    lhs = eval_expr(parse_expr("[t, a]"))
-    rhs = eval_expr(parse_expr("[a, t]")).inverse()
+    assert parse_word("[a, t]") == parse_word("a^-1 t^-1 a t")
+    assert evaluate(F, Power(Gen("a"), 0))[0].is_identity
+    lhs = parse_word("[t, a]")
+    rhs = parse_word("[a, t]").inverse()
     assert lhs == rhs
 
 
 def test_conjugate_expands():
     e = Conjugate(Gen("a"), Gen("t"))
-    assert eval_expr(e) == parse_word("t^-1 a t")
+    assert evaluate(F, e)[0] == parse_word("t^-1 a t")
 
 
 def rand_expr(rng, depth=3):
@@ -149,7 +164,7 @@ def test_eval_inverse_pair_is_identity():
     rng = random.Random(7)
     for _ in range(40):
         e = rand_expr(rng)
-        w = eval_expr(Product((e, Power(e, -1))))
+        w = evaluate(F, Product((e, Power(e, -1))))[0]
         assert w.is_identity
 
 
@@ -208,8 +223,7 @@ def test_commutator_exp_sums_vanish():
     rng = random.Random(3)
     for _ in range(30):
         e = Commutator(rand_expr(rng, 2), rand_expr(rng, 2))
-        s = exp_sums(eval_expr(e))
-        assert (s.sigma_a, s.sigma_t) == (0, 0)
+        assert abelianize(ZZ, evaluate(F, e)[0]) == AbImage(0, 0, 0)
 
 
 def test_word_str_forms():
@@ -230,7 +244,7 @@ def test_exponent_cap():
     with pytest.raises(ExponentCapExceeded):
         parse_expr("a^123456789", max_bits=8)
     with pytest.raises(ExponentCapExceeded):
-        eval_expr(Power(Gen("a"), 1 << 40), max_bits=16)
+        evaluate(free_group(16), Power(Gen("a"), 1 << 40))
 
 
 def _rand_exprs(rng, count):
@@ -245,14 +259,14 @@ def test_evaluate_in_britton_matches_normalizing_the_free_word():
     for _ in range(100):
         p = BSParams(rng.choice(sizes), rng.choice(sizes))
         for e in _rand_exprs(rng, 3):
-            assert evaluate(bs_group(p), e) == normalize(p, eval_expr(e))
+            assert evaluate(bs_group(p), e) == normalize(p, evaluate(F, e)[0])
 
 
 def test_evaluate_in_affine_matches_the_free_word():
     rng = random.Random(19)
     for n in (k for k in range(-6, 7) if k):
         for e in _rand_exprs(rng, 30):
-            assert evaluate(affine_group(n), e) == to_affine(n, eval_expr(e))
+            assert evaluate(affine_group(n), e) == to_affine(n, evaluate(F, e)[0])
 
 
 def test_power_matches_repeated_mul():
@@ -299,7 +313,7 @@ def test_free_mul_matches_word_product(p1, p2):
 
 def test_merged_exponents_are_capped():
     with pytest.raises(ExponentCapExceeded):
-        eval_expr(Power(Power(Gen("a"), 1 << 10), 1 << 10), max_bits=16)
+        evaluate(free_group(16), Power(Power(Gen("a"), 1 << 10), 1 << 10))
 
 
 def test_britton_products_are_size_capped(monkeypatch):
@@ -405,7 +419,7 @@ def test_whitespace_runs_are_skipped_in_one_step():
     # a run of 10^7 spaces costs a few reads of the text, in parse_word's flat
     # read and in the parser, whose skip_ws steps over the run after "a"
     for text, want in (("a" + " " * 10**7, Word((("a", 1),))), ("\n" * 10**7 + "t", Word((("t", 1),)))):
-        for read in (parse_word, lambda s: eval_expr(parse_expr(s))):
+        for read in (parse_word, lambda s: evaluate(F, parse_expr(s))[0]):
             counted = _CountingStr(text)
             assert read(counted) == want
             assert counted.reads <= 4, counted.reads
@@ -455,7 +469,7 @@ def test_parser_matches_reference_parser(text, cap):
 
 
 def _tree_word(text, cap):
-    return eval_expr(parse_expr(text, cap), cap)
+    return evaluate(free_group(cap), parse_expr(text, cap))[0]
 
 
 # Bracket-free texts, which parse_word reads without building a tree: the
@@ -620,6 +634,6 @@ def test_long_products_finish():
     nf = evaluate(bs_group(BSParams(2, 3)), parse_expr("[a,t] " * 10000))
     assert nf == normalize(BSParams(2, 3), parse_word("[a,t] " * 10000))
     # A^k and T^k are generator powers, so this is one run of 20,000 syllables
-    w = eval_expr(parse_expr("a^2 T^-3 " * 10000))
+    w = evaluate(F, parse_expr("a^2 T^-3 " * 10000))[0]
     assert w.syllables == (("a", 2), ("t", 3)) * 10000
     assert time.perf_counter() - start < 10.0

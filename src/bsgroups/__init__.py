@@ -51,7 +51,7 @@ _EXPORTS = {
         "lemma2_witness", "omega_stability_check",
     ),
     "words": (
-        "Commutator", "Conjugate", "Gen", "Group", "Power", "Product", "Word", "evaluate",
+        "Commutator", "Gen", "Group", "Power", "Product", "Word", "evaluate",
         "evaluate_text", "gamma_weight_lower_bound", "parse_expr", "parse_word", "power",
         "pretty_print",
     ),

@@ -18,7 +18,11 @@ import os
 import sys
 
 from .classify import canonical_form, classify, prop5_chain, sweep_csv
-from .errors import BsError
+from .errors import BsError, DomainError
+from .intmath import decimal
+
+# Most (m, n) pairs one sweep classifies: 2 m_max n_max of them.
+_MAX_SWEEP_PAIRS = 100_000
 
 # The subcommands whose handlers read args.max_bits.
 _BIT_CAPPED = {"normalize", "eq", "weight", "quot-image", "lemma2", "member", "omega", "certify"}
@@ -162,6 +166,9 @@ def _cmd_oracle_certify(args):
 
 
 def _cmd_sweep(args):
+    pairs = max(args.m_max, 0) * 2 * max(args.n_max, 0)
+    if pairs > _MAX_SWEEP_PAIRS:
+        raise DomainError(f"sweep of {decimal(pairs)} pairs passes the limit {_MAX_SWEEP_PAIRS}")
     rows = [
         classify(m, n).csv_row()
         for m in range(1, args.m_max + 1)

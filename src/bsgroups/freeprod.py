@@ -24,7 +24,8 @@ r_generators spells the commutators [t^k a^d t^-k, a] that generate the
 relator subgroup as words of at most 8 syllables, and free_subgroup_probe
 samples reduced words in the basis [t^k, a^s] and checks that their images
 in Z * Z_d stay nontrivial.  Both refuse, before building anything, work
-whose words could pass the free-word syllable limit.
+whose words together could pass the free-word syllable limit: the whole list,
+or every trial of the probe.
 """
 
 from __future__ import annotations
@@ -231,7 +232,9 @@ def free_subgroup_probe(
         raise DomainError("K must be >= 1")
     if max_len < 0:
         raise DomainError("max_len must be >= 0")
-    _check_size(4 * max_len)  # each basis letter lifts to 4 syllables
+    if trials < 0:
+        raise DomainError("trials must be >= 0")
+    _check_size(trials * 4 * max_len)  # each basis letter lifts to 4 syllables
     rng = Random(seed)
     checked = nontrivial = skipped = 0
     failures: list[str] = []

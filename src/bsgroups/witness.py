@@ -29,7 +29,6 @@ from .words import (
     MAX_NESTING,
     CommExpr,
     Commutator,
-    Conjugate,
     Gen,
     Power,
     Product,
@@ -49,8 +48,6 @@ def comm_depth(expr: CommExpr) -> int:
         return comm_depth(expr.base)
     if isinstance(expr, Product):
         return max((comm_depth(f) for f in expr.factors), default=0)
-    if isinstance(expr, Conjugate):
-        return comm_depth(expr.inner)
     return 0
 
 

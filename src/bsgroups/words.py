@@ -4,7 +4,7 @@ Conventions used by the whole package:
 
   * a Word is a tuple of syllables (gen, exponent), gen in {"a", "t"},
     exponents nonzero, adjacent syllables on distinct generators;
-  * [x, y] = x^-1 y^-1 x y and Conjugate(x, y) = y^-1 x y;
+  * [x, y] = x^-1 y^-1 x y;
   * the text grammar accepts A and T as shorthand for a^-1 and t^-1:
 
         expr := term+
@@ -184,116 +184,78 @@ def level_sums(w: Word) -> tuple[dict[int, int], int]:
 # Commutator expressions
 
 
-class _Node:
-    """Base of the expression nodes: immutable slotted objects whose ==, hash
-    and repr walk the tree with a stack, since recursion would take several
-    frames per level and a tree MAX_NESTING levels deep, such as a depth-200
-    witness, could overflow the default recursion limit.  A node is not a
-    tuple: _flat and __repr__ read a plain tuple as a factor list.  Each node
-    type sets its slots in its own __init__ (a generic one made parse_expr a
-    fifth slower)."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
-
-    def _flat(self) -> list:
-        # Each node type has a fixed field list and a factor tuple is preceded
-        # by its length, so the sequence determines the tree.
-        out, stack = [], [self]
-        while stack:
-            x = stack.pop()
-            if isinstance(x, _Node):
-                out.append(type(x))
-                stack.extend(getattr(x, f) for f in x.__slots__)
-            elif isinstance(x, tuple):
-                out.append(len(x))
-                stack.extend(x)
-            else:
-                out.append(x)
-        return out
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._flat() == other._flat()
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._flat()))
-
-    def __repr__(self) -> str:
-        # Keyword text, such as Power(base=Gen(name='a'), exp=-1), with ints
-        # through decimal().  A str on the stack is output
-        # as is; a value to render is boxed in a 1-tuple.
-        out, stack = [], [(self,)]
-        while stack:
-            x = stack.pop()
-            if isinstance(x, str):
-                out.append(x)
-                continue
-            (v,) = x
-            if isinstance(v, _Node):
-                parts = [f"{type(v).__qualname__}("]
-                for i, f in enumerate(v.__slots__):
-                    parts += [f"{', ' if i else ''}{f}=", (getattr(v, f),)]
-                parts.append(")")
-            elif isinstance(v, tuple):
-                parts = ["("]
-                for i, y in enumerate(v):
-                    parts += [", " if i else "", (y,)]
-                parts.append(",)" if len(v) == 1 else ")")
-            else:
-                out.append(decimal(v) if type(v) is int else repr(v))
-                continue
-            stack.extend(reversed(parts))
-        return "".join(out)
+def _node_repr(self) -> str:
+    """Keyword text, such as Power(base=Gen(name='a'), exp=-1), with ints
+    through decimal().  The tree is walked with a stack: the tuple repr would
+    recurse once per level and refuse an int past 4,300 digits."""
+    # A str on the stack is output as is; a value to render is boxed in a
+    # 1-tuple.
+    out, stack = [], [(self,)]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+            continue
+        (v,) = x
+        if isinstance(v, CommExpr):
+            parts = [f"{type(v).__qualname__}("]
+            for i, f in enumerate(v._fields):
+                parts += [f"{', ' if i else ''}{f}=", (v[i],)]
+            parts.append(")")
+        elif isinstance(v, tuple):
+            parts = ["("]
+            for i, y in enumerate(v):
+                parts += [", " if i else "", (y,)]
+            parts.append(",)" if len(v) == 1 else ")")
+        else:
+            out.append(decimal(v) if type(v) is int else repr(v))
+            continue
+        stack.extend(reversed(parts))
+    return "".join(out)
 
 
-class Gen(_Node):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):  # "a" or "t"
-        object.__setattr__(self, "name", name)
-
-
-class Power(_Node):
-    __slots__ = ("base", "exp")
-
-    def __init__(self, base: CommExpr, exp: int):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exp", exp)
+def _node_deepcopy(self, memo):
+    # Every field is a str, an int, a node or a tuple of nodes, so a node is
+    # its own deep copy; copying field by field would recurse once per level.
+    return self
 
 
-class Product(_Node):
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple[CommExpr, ...]):
-        object.__setattr__(self, "factors", factors)
+# The expression nodes.  A node equals the plain tuple of its fields, as every
+# record does, and no two node types can be equal: Gen holds a str where
+# Product holds a tuple, and Power an int where Commutator holds a node.
 
 
-class Commutator(_Node):
-    __slots__ = ("left", "right")
+class Gen(NamedTuple):
+    name: str  # "a" or "t"
 
-    def __init__(self, left: CommExpr, right: CommExpr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-
-class Conjugate(_Node):
-    __slots__ = ("inner", "by")
-
-    def __init__(self, inner: CommExpr, by: CommExpr):
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "by", by)
+    __repr__ = _node_repr
+    __deepcopy__ = _node_deepcopy
 
 
-CommExpr = Gen | Power | Product | Commutator | Conjugate
+class Power(NamedTuple):
+    base: CommExpr
+    exp: int
+
+    __repr__ = _node_repr
+    __deepcopy__ = _node_deepcopy
+
+
+class Product(NamedTuple):
+    factors: tuple[CommExpr, ...]
+
+    __repr__ = _node_repr
+    __deepcopy__ = _node_deepcopy
+
+
+class Commutator(NamedTuple):
+    left: CommExpr
+    right: CommExpr
+
+    __repr__ = _node_repr
+    __deepcopy__ = _node_deepcopy
+
+
+CommExpr = Gen | Power | Product | Commutator
 
 # The syllable of each letter, and its node, shared by every parse: nodes are
 # immutable.
@@ -396,12 +358,8 @@ def parse_expr(text: str, max_bits: int | None = None) -> CommExpr:
 
 
 def pretty_print(expr: CommExpr) -> str:
-    """Render an expression in the input grammar.
-
-    Conjugate has no surface syntax, so it prints as the expanded product
-    (y^-1 x y); parsing the output of any conjugate-free expression gives
-    back the same tree up to Product flattening.
-    """
+    """Render an expression in the input grammar; parsing the output gives
+    back the same tree up to Product flattening."""
     if isinstance(expr, Gen):
         return expr.name
     if isinstance(expr, Power):
@@ -410,9 +368,6 @@ def pretty_print(expr: CommExpr) -> str:
         return " ".join(_factor(f) for f in expr.factors)
     if isinstance(expr, Commutator):
         return f"[{pretty_print(expr.left)}, {pretty_print(expr.right)}]"
-    if isinstance(expr, Conjugate):
-        expanded = Product((Power(expr.by, -1), expr.inner, expr.by))
-        return f"({pretty_print(expanded)})"
     raise TypeError(f"not a CommExpr: {expr!r}")
 
 
@@ -553,9 +508,6 @@ def evaluate(G: Group, expr: CommExpr):
     if isinstance(expr, Commutator):
         x, y = evaluate(G, expr.left), evaluate(G, expr.right)
         return G.mul(G.mul(G.inv(x), G.inv(y)), G.mul(x, y))
-    if isinstance(expr, Conjugate):
-        x, y = evaluate(G, expr.inner), evaluate(G, expr.by)
-        return G.mul(G.mul(G.inv(y), x), y)
     raise TypeError(f"not a CommExpr: {expr!r}")
 
 
@@ -601,7 +553,7 @@ def gamma_weight_lower_bound(expr: CommExpr):
     """Structural lower-central-series weight of an expression.
 
     Generators have weight 1, [x, y] adds the weights of x and y, products
-    take the minimum over factors, powers and conjugates preserve weight.
+    take the minimum over factors, and powers preserve weight.
     The value of the expression is guaranteed to lie in gamma_w for the
     returned w (None means the expression is structurally the identity, which
     lies in every term).
@@ -622,6 +574,4 @@ def gamma_weight_lower_bound(expr: CommExpr):
         if lw is None or rw is None:
             return None
         return lw + rw
-    if isinstance(expr, Conjugate):
-        return gamma_weight_lower_bound(expr.inner)
     raise TypeError(f"not a CommExpr: {expr!r}")

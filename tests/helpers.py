@@ -15,7 +15,6 @@ from bsgroups.freeprod import BasisWord, FreeProdWord, _emit
 from bsgroups.words import (
     MAX_NESTING,
     Commutator,
-    Conjugate,
     Gen,
     Group,
     Power,
@@ -761,7 +760,10 @@ def reference_r_generators(p: BSParams, K: int) -> list[Word]:
     if K < 0:
         raise DomainError("K must be >= 0")
     a, t = Gen("a"), Gen("t")
-    conjugates = (Conjugate(Power(a, p.d), Power(t, -k)) for k in range(-K, K + 1))
+    a_d = Power(a, p.d)
+    # t^k a^d t^-k = y^-1 x y, spelled x [x, y] so that x = a^d meets the cap
+    # before y = t^-k, in the order the tree's conjugate node evaluated them
+    conjugates = (Product((a_d, Commutator(a_d, Power(t, -k)))) for k in range(-K, K + 1))
     return [evaluate(free_group(resolve_max_bits(None)), Commutator(x, a))[0] for x in conjugates]
 
 

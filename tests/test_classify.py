@@ -279,13 +279,22 @@ def test_probe_refuses_a_lift_past_the_syllable_limit(monkeypatch):
     monkeypatch.setattr(freeprod, "Random", no_draws)
     for max_len in (10**9, 10**30, 500_001):
         with pytest.raises(WordSizeExceeded, match="syllables, limit 2000000"):
-            free_subgroup_probe(BSParams(2, 4), max_len=max_len)
-    # 4 syllables per letter, against the limit in force
+            free_subgroup_probe(BSParams(2, 4), trials=1, max_len=max_len)
+    with pytest.raises(WordSizeExceeded, match="would reach 24000000000 syllables, limit 2000000"):
+        free_subgroup_probe(BSParams(2, 4), trials=10**9)
+    with pytest.raises(DomainError, match="trials must be >= 0"):
+        free_subgroup_probe(BSParams(2, 4), trials=-1)
+    # 4 syllables per letter and max_len letters per trial, against the limit
+    # in force
     monkeypatch.setattr("bsgroups.words._MAX_SYLLABLES", 1000)
     with pytest.raises(WordSizeExceeded, match="would reach 1004 syllables, limit 1000"):
-        free_subgroup_probe(BSParams(2, 4), max_len=251)
+        free_subgroup_probe(BSParams(2, 4), trials=1, max_len=251)
     with pytest.raises(AssertionError, match="drew"):
-        free_subgroup_probe(BSParams(2, 4), max_len=250)
+        free_subgroup_probe(BSParams(2, 4), trials=1, max_len=250)
+    with pytest.raises(WordSizeExceeded, match="would reach 1008 syllables, limit 1000"):
+        free_subgroup_probe(BSParams(2, 4), trials=42)
+    with pytest.raises(AssertionError, match="drew"):
+        free_subgroup_probe(BSParams(2, 4), trials=41)
 
 
 def test_free_subgroup_probe():

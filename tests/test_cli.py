@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bsgroups.cli as cli
 from bsgroups.classify import SWEEP_COLUMNS
 from bsgroups.cli import run
 from bsgroups.words import decimal
@@ -205,6 +206,25 @@ def test_sweep(capsys):
     code, out, _ = _run(capsys, ["sweep", "--m-max", "1", "--n-max", "1", "--json"])
     rows = json.loads(out)
     assert [set(r) for r in rows] == [set(SWEEP_COLUMNS)] * 2
+
+
+def test_sweep_refuses_a_grid_past_the_pair_limit(monkeypatch, capsys):
+    def no_classify(m, n):
+        raise AssertionError("the sweep classified before refusing")
+
+    monkeypatch.setattr(cli, "classify", no_classify)
+    for m_max, n_max in ((10**9, 10**9), (300, 300), (1, 50_001)):
+        code, _, err = _run(capsys, ["sweep", "--m-max", str(m_max), "--n-max", str(n_max)])
+        _assert_one_line_error(code, err)
+        assert err == f"error: sweep of {2 * m_max * n_max} pairs passes the limit 100000\n"
+    # 2 m_max n_max pairs, against the limit in force; an empty range counts 0
+    monkeypatch.setattr(cli, "_MAX_SWEEP_PAIRS", 40)
+    code, _, err = _run(capsys, ["sweep", "--m-max", "4", "--n-max", "6"])
+    assert err == "error: sweep of 48 pairs passes the limit 40\n"
+    with pytest.raises(AssertionError, match="classified"):
+        run(["sweep", "--m-max", "4", "--n-max", "5"])
+    code, out, _ = _run(capsys, ["sweep", "--m-max", "-100000", "--n-max", "-100000"])
+    assert code == 0 and out == ",".join(SWEEP_COLUMNS)
 
 
 def test_out_file(tmp_path, capsys):
@@ -427,7 +447,8 @@ _INTS = st.one_of(
     st.integers(-(10**30), 10**30),
 )
 # Work linear in these by design, so they stay at or below 20.  rgen's -K
-# and fsub-probe's --max-len are refused at once past the free-word syllable
+# and fsub-probe's --trials and --max-len are refused at once past the
+# free-word syllable limit, and sweep's --m-max and --n-max past its pair
 # limit; the examples below take them to 10^9.
 _COUNTS = st.one_of(st.integers(-3, 20), st.integers(-(10**30), 20))
 _TEXT = st.text(alphabet="aAtT^-0123456789[](), ", max_size=30)
@@ -478,6 +499,8 @@ def _argv(draw):
 @example(["fsub-probe", "-m", "5", "-n", "5", "-K", "5", "--trials", "9", "--max-len", "-1"])
 @example(["rgen", "-m", "2", "-n", "4", "-K", "1000000000"])
 @example(["fsub-probe", "-m", "2", "-n", "4", "--trials", "3", "--max-len", "1000000000"])
+@example(["fsub-probe", "-m", "2", "-n", "4", "--trials", "1000000000"])
+@example(["sweep", "--m-max", "1000000000", "--n-max", "1000000000"])
 @example(["oracle", "certify", "-m", "0", "-n", "0", "-i", "2", "a"])
 @example(["oracle", "certify", "-m", "3", "-n", "0", "-i", "2", "a"])
 @example(["oracle", "certify", "-m", "0", "-n", "3", "-i", "2", "a"])

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from bsgroups.affine import Weight, lcs_weight, to_affine
@@ -81,6 +84,16 @@ def test_lemma2_deep_witness():
         lemma2_witness(BSParams(2, 5), MAX_NESTING + 1)
     with pytest.raises(DomainError):
         gamma_membership_witness(BSParams(2, 3), parse_word("a"), MAX_NESTING + 2)
+
+
+def test_deep_witness_survives_deepcopy_and_pickle():
+    # a node is its own deep copy, so copying does not recurse per level;
+    # pickling recurses in C, a few frames per level, within the default limit
+    w = lemma2_witness(BSParams(2, 5), MAX_NESTING)
+    for x in (w, w.expr):
+        for copied in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(copied) is type(x) and copied == x and repr(copied) == repr(x)
+    assert copy.deepcopy(w).expr is w.expr
 
 
 def test_lemma2_grid():

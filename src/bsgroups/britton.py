@@ -20,27 +20,46 @@ when their canonical forms coincide, for any nonzero m, n (no parameter
 canonicalization happens here).  Exponents can grow like n^k, so every
 addition is bit-capped.
 
-The scan is linear in syllables plus tail entries.  One stack holds (0, r0)
-and then the tail as (eps, r) tuples, and t^e is one step: canonicalize the
-top, pop while it is (-sign e, 0), push the rest of the run whole.  While
-the scan runs, the top lives in two locals and the list holds the entries
-below it, so an a-syllable is one int add and a bit-length check, and a
-t-syllable pushes the old top as one tuple.  The top's
-carry waits in the entry below; every entry below a low-water mark lo stays
-canonical.  A final top-down pass settles the deferred carries and stops at
-the first entry at or below lo that passes on no carry.  It meets no pinch: a
-carry from an upper neighbour of the other sign is a multiple of the entry's
-modulus (t a^{nq} = a^{mq} t), and an entry gets a new upper neighbour only as
-the top, where it is settled at once.  Every step applies a relation and the
-result is canonical and pinch-free, so by uniqueness it is the same whenever
-carries settle.  Only the bit cap can tell: a deferred sum holds up to one
-carry per step, so it may need up to 1 + bit_length(steps) bits more.
+The scan reads blocks t^e a^x: a reduced Word's syllables alternate, so
+after a leading a-syllable they come in (t, a) pairs from one iterator, and
+a tail's (eps, r) entries are blocks as they stand. One stack holds (0, r0)
+and then the tail as (eps, r) tuples, and a block is one step: canonicalize
+the top, pop while it is (-sign e, 0), push the rest of t^e whole, add x to
+the new top. While the scan runs, the top lives in two locals and the list
+holds the entries below it, so a push appends the old top as one tuple. The
+top's carry waits in the entry below; every entry below a low-water mark lo
+stays canonical. A final top-down pass settles the deferred carries and
+stops at the first entry at or below lo that passes on no carry. It meets no
+pinch: a carry from an upper neighbour of the other sign is a multiple of
+the entry's modulus (t a^{nq} = a^{mq} t), and an entry gets a new upper
+neighbour only as the top, where it is settled at once. Every step applies a
+relation and the result is canonical and pinch-free, so by uniqueness it is
+the same whenever carries settle. Only the bit cap can tell: a deferred sum
+holds up to one carry per step, so it may need up to 1 + bit_length(steps)
+bits more.
+
+Two kinds of input skip the per-block step. In a product x y, y's tail is
+canonical and has no pinch, so once one of its blocks pushes, every later
+one pushes too, unchanged and with no carry: the scan settles the stack
+there, checks the final size and copies the rest of y's tail, so a product
+costs its seam plus a copy. And when a block t^s a^x with |s| = 1 finds the
+canonicalized top equal to (s, x), x is canonical for s (0 <= x < |m| if s =
+-1, 0 <= x < |n| if s = +1), so this block and every equal one after it push
+(s, x) and leave the top as it is: a run of c copies is one list extend,
+counted by comparing slices of the word's syllables at C speed. The scan
+looks for the run only when the entry below the top equals (s, x) as well,
+at a third copy, so the pairs of equal blocks that random words hold cost
+one comparison each. The test is on the block's own exponent: a t^{2s} block
+that pops once also ends with one t to push, but each further copy of it
+pushes two entries. Neither shortcut adds a carry or a step, so the cap
+slack above is unchanged.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress, count, islice, zip_longest
 from math import gcd
+from operator import itemgetter, length_hint, ne, neg
 from typing import NamedTuple
 
 from .errors import DomainError, ExponentCapExceeded
@@ -95,6 +114,11 @@ class BrittonNF(NamedTuple):
         return " ".join(parts) if parts else "1"
 
 
+_SIGN, _EXP = itemgetter(0), itemgetter(1)
+# x = 0 for a last t-syllable with no a-syllable after it
+_NO_A = ("a", 0)
+
+
 def _carry_factors(m: int, n: int) -> tuple[int, int]:
     """(fm, fn) with t^-1 a^(|m| q) = a^(fm q) t^-1 and t a^(|n| q) = a^(fn q) t."""
     return (n if m > 0 else -n), (m if n > 0 else -m)
@@ -117,20 +141,44 @@ def _settle(m: int, n: int, st: list, lo: int, cap: int) -> None:
     st[0] = (0, _check_cap(st[0][1] + carry, cap))
 
 
-def _scan(m: int, n: int, st: list, lo: int, syllables, cap: int) -> None:
-    """Read syllables onto the stack [(0, r0), (eps, r), ...], then settle it."""
+def _period_two_run(syl: tuple, j: int) -> int:
+    """How many syllables from syl[j] on equal the one two places before
+    them: counted at C speed in slices that double, so a run of c costs O(c)
+    and no run one short slice."""
+    c, h = 0, 8
+    while True:
+        part = syl[j + c : j + c + h]
+        before = syl[j + c - 2 : j + c - 2 + len(part)]
+        if part != before:
+            return c + next(compress(count(), map(ne, part, before)))
+        c += len(part)
+        if len(part) < h:
+            return c
+        h *= 2
+
+
+def _scan(m: int, n: int, st: list, lo: int, x0: int, blocks, cap: int,
+          runs: tuple | None = None, seam=None) -> None:
+    """Add a^x0 to the top of the stack [(0, r0), (eps, r), ...], read the
+    blocks t^e a^x onto it, then settle it.
+
+    blocks yields ((_, e), (_, x)), as a word's syllables come in pairs.
+    With runs = (syl, it), they are the pairs of the syllables syl that the
+    iterator it yields, and a run of equal blocks is pushed in one step.
+    seam is an iterator over a canonical tail from which blocks reads each
+    entry (eps, r) as its second item: from the first block that pushes on,
+    the rest of that tail is copied as it is.
+    """
     am, an = abs(m), abs(n)
     fm, fn = _carry_factors(m, n)
     # The top entry lives in (eps, r) and st holds the entries below it, so
     # the full stack is st + [(eps, r)] and its length is len(st) + 1.
     eps, r = st.pop()
+    r += x0
+    if r.bit_length() > cap:
+        raise ExponentCapExceeded(r.bit_length(), cap)
     limit = words._MAX_SYLLABLES
-    for g, e in syllables:
-        if g == "a":
-            r += e
-            if r.bit_length() > cap:
-                raise ExponentCapExceeded(r.bit_length(), cap)
-            continue
+    for (_, e), (_, x) in blocks:
         s, k = (1, e) if e > 0 else (-1, -e)
         while st:
             # canonicalize the top only; its carry waits in the entry below
@@ -148,37 +196,88 @@ def _scan(m: int, n: int, st: list, lo: int, syllables, cap: int) -> None:
                 break
             eps, r = st.pop()
             k -= 1
-        size = len(st) + k  # the tail's length after the push
-        if lo >= len(st):  # a push onto a clean stack keeps it clean
-            lo = size + 1
-        if size > limit:
-            _check_size(size)  # bounds the tail before it is built
         if k:
+            if r == x and eps == e and st[-1] == (e, x) and runs:
+                # a third copy of the block: e = +-1 and x is canonical, so
+                # it and the c - 1 equal blocks after it push (e, x) and
+                # leave the top as it is.  Kept apart from the push below,
+                # which then pays nothing for runs but the test above.
+                syl, it = runs
+                c = 1 + _period_two_run(syl, len(syl) - length_hint(it)) // 2
+                size = len(st) + c
+                if lo >= len(st):
+                    lo = size + 1
+                if size > limit:
+                    _check_size(size)
+                st.extend([(e, x)] * c)
+                next(islice(it, 2 * c - 2, 2 * c - 2), None)  # skip the run
+                continue
+            size = len(st) + k  # the tail's length after the push
+            if seam:
+                size += length_hint(seam)
+            if lo >= len(st):  # a push onto a clean stack keeps it clean
+                lo = size + 1
+            if size > limit:
+                _check_size(size)  # bounds the tail before it is built
             st.append((eps, r))
+            if seam:
+                _settle(m, n, st, lo, cap)
+                st.append((e, x))
+                st.extend(seam)
+                return
             if k > 1:
                 st.extend([(s, 0)] * (k - 1))
             eps, r = s, 0
+        r += x
+        if r.bit_length() > cap:
+            raise ExponentCapExceeded(r.bit_length(), cap)
     st.append((eps, r))
     _settle(m, n, st, lo, cap)
 
 
+def _nf(st: list) -> BrittonNF:
+    """The settled stack as a normal form, its tail copied once."""
+    r0 = st[0][1]
+    del st[0]
+    return BrittonNF(r0, tuple(st))
+
+
 def normalize(p: BSParams, w: Word, max_bits: int | None = None) -> BrittonNF:
-    """Britton normal form of a word; solves the word problem for BS(m, n)."""
+    """Britton normal form of a word; solves the word problem for BS(m, n).
+
+    w must be freely reduced, as every Word built by from_pairs, a product
+    or an inverse is: its a- and t-syllables alternate, and a block is a
+    t-syllable with the a-syllable after it, if any."""
+    syl = w.syllables
+    it = iter(syl)
+    x0 = next(it)[1] if syl and syl[0][0] == "a" else 0
     st = [(0, 0)]
-    _scan(p.m, p.n, st, 1, w.syllables, resolve_max_bits(max_bits))
-    return BrittonNF(st[0][1], tuple(st[1:]))
+    _scan(p.m, p.n, st, 1, x0, zip_longest(it, it, fillvalue=_NO_A), resolve_max_bits(max_bits),
+          runs=(syl, it))
+    return _nf(st)
 
 
 def nf_multiply(p: BSParams, x: BrittonNF, y: BrittonNF, max_bits: int | None = None) -> BrittonNF:
-    """Product of two canonical forms, computed by resuming the scan of x."""
+    """Product of two canonical forms: the scan of x resumes on y's tail up
+    to y's first push, and the rest of y's tail is copied."""
     st = [(0, x.r0), *x.tail]
-    ys = chain((("a", y.r0),), chain.from_iterable((("t", eps), ("a", r)) for eps, r in y.tail))
-    _scan(p.m, p.n, st, len(st), ys, resolve_max_bits(max_bits))
-    return BrittonNF(st[0][1], tuple(st[1:]))
+    seam = iter(y.tail)
+    # pairs ((entry, eps), (eps, r)), of which _scan reads the second items
+    blocks = zip(zip(y.tail, map(_SIGN, y.tail)), seam)
+    _scan(p.m, p.n, st, len(st), y.r0, blocks, resolve_max_bits(max_bits), seam=seam)
+    return _nf(st)
 
 
 def nf_invert(p: BSParams, x: BrittonNF, max_bits: int | None = None) -> BrittonNF:
-    return normalize(p, x.to_word().inverse(), max_bits)
+    """a^-rk t^-ek ... a^-r1 t^-e1 a^-r0, scanned as the blocks (-e_i, -r_(i-1))."""
+    rev = x.tail[::-1]
+    es = map(neg, map(_SIGN, rev))
+    xs = map(neg, chain(map(_EXP, islice(rev, 1, None)), (x.r0,)))
+    st = [(0, 0)]
+    # pairs ((entry, e), (entry, x)), of which _scan reads the second items
+    _scan(p.m, p.n, st, 1, -(rev[0][1] if rev else x.r0), zip(zip(rev, es), zip(rev, xs)),
+          resolve_max_bits(max_bits))
+    return _nf(st)
 
 
 def nf_equal(p: BSParams, u: Word, v: Word, max_bits: int | None = None) -> bool:

@@ -224,16 +224,43 @@ def test_bit_cap_contract(pw):
 
 def test_alternating_runs_match_eager_oracle():
     # (t^+-1 a^r)^N keeps the top entry in locals through N pushes; residues
-    # outside [0, |m|) or [0, |n|) make every push carry into the entry below
+    # outside [0, |m|) or [0, |n|) make every push carry into the entry below.
+    # A run of one canonical +-1 block is pushed in one step: t^+-2 blocks,
+    # and runs that start right after a pinch, must not be taken for one
     for p in GRID + [BSParams(-2, 3), BSParams(4, -3)]:
-        for r in (-7, -1, 1, 2, 5):
+        for r in (-7, -1, 0, 1, 2, 5):
             for eps in (1, -1):
                 run = Word.from_pairs([("t", eps), ("a", r)] * 30)
                 back = Word.from_pairs([("t", -eps), ("a", -r)] * 20)
-                for w in (run, run * back, back * run, run * Word((("t", eps * 5),)) * back):
+                lead = Word.from_pairs([("t", eps), ("a", r)] * 2)
+                # t^e a^(mn) ends in a residue 0, which pinches with a next
+                # t of the other sign
+                mn = p.m * p.n
+                if eps == 1:
+                    mod, z = abs(p.n), -p.m if p.n > 0 else p.m
+                else:
+                    mod, z = abs(p.m), -p.n if p.m > 0 else p.n
+                periodic = (
+                    Word.from_pairs([("t", 2 * eps), ("a", r)] * 12),
+                    # t^-eps cancels one t of the first t^2eps block
+                    lead * Word.from_pairs([("t", -eps), ("a", mn)] + [("t", 2 * eps), ("a", r)] * 12),
+                    Word.from_pairs([("t", -eps), ("a", mn)] + [("t", 2 * eps), ("a", r)] * 12),
+                    # t^3eps loses one t to each of the first blocks t^-eps a^r
+                    lead * Word.from_pairs([("t", 3 * eps), ("a", mn)] + [("t", -eps), ("a", r)] * 12),
+                    # the carries into the entry below the top cancel, so a
+                    # t^2eps block that pops once leaves the top equal to it
+                    Word.from_pairs([("t", eps), ("a", r + mod)] * 2 + [("t", -eps), ("a", z)]
+                                    + [("t", 2 * eps), ("a", r)] * 12),
+                )
+                for w in (run, run * back, back * run, run * Word((("t", eps * 5),)) * back, *periodic):
                     nf = normalize(p, w)
                     assert nf == eager_normalize(p, w) and nf_is_valid(p, nf)
+                    assert nf_invert(p, nf) == eager_normalize(p, w.inverse())
                     assert nf_multiply(p, nf, normalize(p, back)) == eager_normalize(p, w * back)
+                    # a tail of (eps, 0) entries meets nf's tail at the seam
+                    y = normalize(p, Word((("t", eps * 9),)))
+                    xy = nf_multiply(p, nf, y)
+                    assert xy == eager_multiply(p, nf, y) and nf_is_valid(p, xy)
 
 
 @pytest.mark.parametrize(
@@ -289,3 +316,14 @@ def test_scan_work_is_linear(monkeypatch):
         nf = normalize(p, w)
         assert calls <= 10
         assert nf.tail == tail
+
+    # a product reads y up to its seam with x and copies the rest: a^8 pops
+    # the three T of x and leaves a carry waiting in x's first (t a) entry,
+    # which a settle after all of y would reach only past every entry of y
+    w = Word((("a", 8), ("t", 10**5)))
+    x, y = normalize(p, parse_word("a t a t a T^3")), normalize(p, w)
+    calls = 0
+    xy = nf_multiply(p, x, y)
+    assert calls <= 10
+    assert xy == eager_multiply(p, x, y)
+    assert nf_invert(p, y) == eager_normalize(p, w.inverse())

@@ -20,23 +20,25 @@ when their canonical forms coincide, for any nonzero m, n (no parameter
 canonicalization happens here).  Exponents can grow like n^k, so every
 addition is bit-capped.
 
-The scan reads blocks t^e a^x: a reduced Word's syllables alternate, so
-after a leading a-syllable they come in (t, a) pairs from one iterator, and
-a tail's (eps, r) entries are blocks as they stand. One stack holds (0, r0)
-and then the tail as (eps, r) tuples, and a block is one step: canonicalize
-the top, pop while it is (-sign e, 0), push the rest of t^e whole, add x to
-the new top. While the scan runs, the top lives in two locals and the list
-holds the entries below it, so a push appends the old top as one tuple. The
-top's carry waits in the entry below; every entry below a low-water mark lo
-stays canonical. A final top-down pass settles the deferred carries and
-stops at the first entry at or below lo that passes on no carry. It meets no
-pinch: a carry from an upper neighbour of the other sign is a multiple of
-the entry's modulus (t a^{nq} = a^{mq} t), and an entry gets a new upper
-neighbour only as the top, where it is settled at once. Every step applies a
-relation and the result is canonical and pinch-free, so by uniqueness it is
-the same whenever carries settle. Only the bit cap can tell: a deferred sum
-holds up to one carry per step, so it may need up to 1 + bit_length(steps)
-bits more.
+The scan starts from a normal form x and an a^x0 to add to it, and reads
+blocks t^e a^x as plain (e, x) pairs from every caller: a reduced Word's
+syllables alternate, so after a leading a-syllable their exponents come in
+(t, a) pairs from one iterator; a tail's (eps, r) entries are blocks as they
+stand; an inverse reads its blocks off the reversed tail. The scan builds
+its one stack from x: (0, r0) and then the tail as (eps, r) tuples, all
+canonical, and a block is one step: canonicalize the top, pop while it is
+(-sign e, 0), push the rest of t^e whole, add x to the new top. While the
+scan runs, the top lives in two locals and the list holds the entries below
+it, so a push appends the old top as one tuple. The top's carry waits in the
+entry below; every entry below a low-water mark lo stays canonical. A final
+top-down pass settles the deferred carries and stops at the first entry at
+or below lo that passes on no carry. It meets no pinch: a carry from an
+upper neighbour of the other sign is a multiple of the entry's modulus
+(t a^{nq} = a^{mq} t), and an entry gets a new upper neighbour only as the top,
+where it is settled at once. Every step applies a relation and the result is
+canonical and pinch-free, so by uniqueness it is the same whenever carries
+settle. Only the bit cap can tell: a deferred sum holds up to one carry per
+step, so it may need up to 1 + bit_length(steps) bits more.
 
 Two kinds of input skip the per-block step. In a product x y, y's tail is
 canonical and has no pinch, so once one of its blocks pushes, every later
@@ -115,8 +117,6 @@ class BrittonNF(NamedTuple):
 
 
 _SIGN, _EXP = itemgetter(0), itemgetter(1)
-# x = 0 for a last t-syllable with no a-syllable after it
-_NO_A = ("a", 0)
 
 
 def _carry_factors(m: int, n: int) -> tuple[int, int]:
@@ -157,20 +157,20 @@ def _period_two_run(syl: tuple, j: int) -> int:
         h *= 2
 
 
-def _scan(m: int, n: int, st: list, lo: int, x0: int, blocks, cap: int,
-          runs: tuple | None = None, seam=None) -> None:
-    """Add a^x0 to the top of the stack [(0, r0), (eps, r), ...], read the
-    blocks t^e a^x onto it, then settle it.
+def _scan(p: BSParams, x: BrittonNF, x0: int, blocks, cap: int,
+          runs: tuple | None = None, seam: bool = False) -> BrittonNF:
+    """The normal form of x a^x0 followed by the blocks t^e a^x.
 
-    blocks yields ((_, e), (_, x)), as a word's syllables come in pairs.
-    With runs = (syl, it), they are the pairs of the syllables syl that the
-    iterator it yields, and a run of equal blocks is pushed in one step.
-    seam is an iterator over a canonical tail from which blocks reads each
-    entry (eps, r) as its second item: from the first block that pushes on,
-    the rest of that tail is copied as it is.
+    blocks yields (e, x) pairs. With runs = (syl, it), they are read from
+    the syllables syl that the iterator it yields, and a run of equal blocks
+    is pushed in one step. With seam, blocks iterates over a canonical tail:
+    from the first block that pushes on, the rest of it is copied as it is.
     """
+    m, n = p
     am, an = abs(m), abs(n)
     fm, fn = _carry_factors(m, n)
+    st = [(0, x.r0), *x.tail]
+    lo = len(st)  # every entry of x is canonical
     # The top entry lives in (eps, r) and st holds the entries below it, so
     # the full stack is st + [(eps, r)] and its length is len(st) + 1.
     eps, r = st.pop()
@@ -178,7 +178,7 @@ def _scan(m: int, n: int, st: list, lo: int, x0: int, blocks, cap: int,
     if r.bit_length() > cap:
         raise ExponentCapExceeded(r.bit_length(), cap)
     limit = words._MAX_SYLLABLES
-    for (_, e), (_, x) in blocks:
+    for e, x in blocks:
         s, k = (1, e) if e > 0 else (-1, -e)
         while st:
             # canonicalize the top only; its carry waits in the entry below
@@ -214,17 +214,15 @@ def _scan(m: int, n: int, st: list, lo: int, x0: int, blocks, cap: int,
                 continue
             size = len(st) + k  # the tail's length after the push
             if seam:
-                size += length_hint(seam)
+                size += length_hint(blocks)
             if lo >= len(st):  # a push onto a clean stack keeps it clean
                 lo = size + 1
             if size > limit:
                 _check_size(size)  # bounds the tail before it is built
             st.append((eps, r))
-            if seam:
-                _settle(m, n, st, lo, cap)
-                st.append((e, x))
-                st.extend(seam)
-                return
+            if seam:  # (e, x) is canonical: it and the rest are copied
+                eps, r = e, x
+                break
             if k > 1:
                 st.extend([(s, 0)] * (k - 1))
             eps, r = s, 0
@@ -233,13 +231,14 @@ def _scan(m: int, n: int, st: list, lo: int, x0: int, blocks, cap: int,
             raise ExponentCapExceeded(r.bit_length(), cap)
     st.append((eps, r))
     _settle(m, n, st, lo, cap)
-
-
-def _nf(st: list) -> BrittonNF:
-    """The settled stack as a normal form, its tail copied once."""
+    if seam:
+        st.extend(blocks)
     r0 = st[0][1]
     del st[0]
-    return BrittonNF(r0, tuple(st))
+    return BrittonNF(r0, tuple(st))  # the tail copied once
+
+
+_ONE = BrittonNF()
 
 
 def normalize(p: BSParams, w: Word, max_bits: int | None = None) -> BrittonNF:
@@ -251,21 +250,15 @@ def normalize(p: BSParams, w: Word, max_bits: int | None = None) -> BrittonNF:
     syl = w.syllables
     it = iter(syl)
     x0 = next(it)[1] if syl and syl[0][0] == "a" else 0
-    st = [(0, 0)]
-    _scan(p.m, p.n, st, 1, x0, zip_longest(it, it, fillvalue=_NO_A), resolve_max_bits(max_bits),
-          runs=(syl, it))
-    return _nf(st)
+    exps = map(_EXP, it)
+    return _scan(p, _ONE, x0, zip_longest(exps, exps, fillvalue=0), resolve_max_bits(max_bits),
+                 runs=(syl, it))
 
 
 def nf_multiply(p: BSParams, x: BrittonNF, y: BrittonNF, max_bits: int | None = None) -> BrittonNF:
     """Product of two canonical forms: the scan of x resumes on y's tail up
     to y's first push, and the rest of y's tail is copied."""
-    st = [(0, x.r0), *x.tail]
-    seam = iter(y.tail)
-    # pairs ((entry, eps), (eps, r)), of which _scan reads the second items
-    blocks = zip(zip(y.tail, map(_SIGN, y.tail)), seam)
-    _scan(p.m, p.n, st, len(st), y.r0, blocks, resolve_max_bits(max_bits), seam=seam)
-    return _nf(st)
+    return _scan(p, x, y.r0, iter(y.tail), resolve_max_bits(max_bits), seam=True)
 
 
 def nf_invert(p: BSParams, x: BrittonNF, max_bits: int | None = None) -> BrittonNF:
@@ -273,11 +266,7 @@ def nf_invert(p: BSParams, x: BrittonNF, max_bits: int | None = None) -> Britton
     rev = x.tail[::-1]
     es = map(neg, map(_SIGN, rev))
     xs = map(neg, chain(map(_EXP, islice(rev, 1, None)), (x.r0,)))
-    st = [(0, 0)]
-    # pairs ((entry, e), (entry, x)), of which _scan reads the second items
-    _scan(p.m, p.n, st, 1, -(rev[0][1] if rev else x.r0), zip(zip(rev, es), zip(rev, xs)),
-          resolve_max_bits(max_bits))
-    return _nf(st)
+    return _scan(p, _ONE, -(rev[0][1] if rev else x.r0), zip(es, xs), resolve_max_bits(max_bits))
 
 
 def nf_equal(p: BSParams, u: Word, v: Word, max_bits: int | None = None) -> bool:

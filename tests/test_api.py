@@ -137,6 +137,22 @@ def test_import_loads_no_computation_layer():
     for name in ("words", "britton", "finquot", "cli"):
         assert f"bsgroups.{name}" not in loaded
     assert not loaded & (_NEVER_LOADED | {"json"}), loaded & (_NEVER_LOADED | {"json"})
+    # A later lookup loads what it names: a public name's defining module,
+    # or a submodule; any other name is an AttributeError.
+    code = """
+import sys
+import bsgroups
+assert "bsgroups.britton" not in sys.modules
+assert bsgroups.nf_invert is sys.modules["bsgroups.britton"].nf_invert
+assert bsgroups.finquot.__name__ == "bsgroups.finquot"
+try:
+    bsgroups.no_such_name
+except AttributeError:
+    print("ok")
+"""
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 @pytest.mark.parametrize(

@@ -108,6 +108,12 @@ def test_outputs_are_structurally_valid():
             nf = normalize(p, rand_word(rng))
             assert nf_is_valid(p, nf)
             assert normalize(p, nf.to_word()) == nf
+    # the oracle rejects each way a tail can fail: sign, residue range, pinch
+    p = BSParams(2, 3)
+    for tail in (((2, 0),), ((1, 3),), ((-1, 2),), ((-1, 0), (1, 1)), ((1, 0), (-1, 1))):
+        assert not nf_is_valid(p, BrittonNF(0, tail)), tail
+    for tail in (((1, 2),), ((-1, 1),), ((-1, 0), (-1, 1))):
+        assert nf_is_valid(p, BrittonNF(0, tail)), tail
 
 
 def test_m_equals_one_shape():

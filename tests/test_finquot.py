@@ -73,6 +73,10 @@ def test_build_semidirect_rejections():
         build_semidirect(2, 4, 1, 1, 3)  # ord(3 mod 16) = 4 > 2^1
     with pytest.raises(DomainError):
         build_semidirect(2, 20, 5, 1, 3)  # order cap
+    with pytest.raises(DomainError):
+        build_semidirect(2, 0, 1, 1, 3)  # k = 0
+    with pytest.raises(DomainError):
+        build_semidirect(2, 1, 0, 1, 3)  # j = 0
 
 
 def test_zero_parameters_are_refused():
@@ -111,6 +115,12 @@ def test_build_wreath():
     assert q.describe() == "Z_2 wr Z_2"
     with pytest.raises(DomainError):
         build_wreath(2, 2, 4)  # 2^36 over the cap
+    with pytest.raises(DomainError):
+        build_wreath(4, 1, 1)  # p not prime
+    with pytest.raises(DomainError):
+        build_wreath(2, 0, 1)  # e = 0
+    with pytest.raises(DomainError):
+        build_wreath(2, 1, 0)  # j = 0
 
 
 def test_group_axioms_brute():
@@ -155,6 +165,8 @@ def test_gamma2_of_semidirect_is_cyclic_on_u_minus_1():
         chain = fq_gamma_series(q)
         for g in elements(q):
             assert chain.contains(2, g) == (g in expected)
+        with pytest.raises(DomainError, match="gamma index"):
+            chain.contains(0, q.identity)
 
 
 # Brute force lists every element; this bound keeps the sweep near a second
@@ -257,6 +269,17 @@ def test_verify_rebuilds_the_chain(monkeypatch):
     assert cert.verify()
     # a^2 lies in gamma_2 of BS(1, 3), so a claim at i = 2 must be refused
     forged = Certificate(1, 3, cert.word, cert.quotient, cert.image, 2, cert.gamma_sizes)
+    assert not forged.verify()
+    # each recomputed fact is checked: the image, the chain, the relation
+    assert cert.image == (2, 0) and cert.gamma_sizes == (8, 2, 1)
+    assert not cert._replace(image=(3, 0)).verify()
+    assert not cert._replace(gamma_sizes=(8, 2, 2)).verify()
+    # Z_4 x| Z_2 with t acting trivially is abelian, so t^-1 a t = a^3 fails
+    # in it; with its own image and chain, only the relation check refuses it
+    q = Semidirect(2, 2, 1, 1)
+    assert not bs_relation_holds(q, 1, 3)
+    forged = cert._replace(quotient=q, image=fq_eval(q, cert.word),
+                           gamma_sizes=tuple(fq_gamma_series(q).sizes))
     assert not forged.verify()
 
 

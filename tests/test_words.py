@@ -23,6 +23,7 @@ from bsgroups.words import (
     Word,
     evaluate,
     evaluate_text,
+    gamma_weight_lower_bound,
     MAX_NESTING,
     free_group,
     parse_expr,
@@ -218,6 +219,18 @@ def test_expression_equality_is_structural():
     assert a != "a" and a == Gen("a")
 
 
+@pytest.mark.parametrize("text, weight", [
+    ("[a, t] [[a, t], t]", 2),  # a product takes the least weight of its factors
+    ("[[a,t],t] [[a,t],t]", 3),
+    ("(a^0 [a, t])", 2),  # an identity factor does not count
+    ("a^0", None),
+    ("[a^0, t]", None),
+    ("[a, t]^0", None),
+])
+def test_gamma_weight_lower_bound(text, weight):
+    assert gamma_weight_lower_bound(parse_expr(text)) == weight
+
+
 def test_commutator_exp_sums_vanish():
     rng = random.Random(3)
     for _ in range(30):
@@ -324,6 +337,11 @@ def test_britton_products_are_size_capped(monkeypatch):
         normalize(BSParams(2, 3), parse_word("a t^999 a t^2"))
     with pytest.raises(WordSizeExceeded):
         normalize(BSParams(2, 3), parse_word("t^1000000000000"))
+    # a run of equal blocks is pushed in one step, and checked before it
+    # (built directly: parse_word would stop at the free word's size first)
+    assert len(normalize(BSParams(2, 3), Word((("t", 1), ("a", 1)) * 1000)).tail) == 1000
+    with pytest.raises(WordSizeExceeded, match="word would reach 1001 syllables"):
+        normalize(BSParams(2, 3), Word((("t", 1), ("a", 1)) * 1001))
 
 
 def test_huge_exponents_parse_and_print_outside_the_cli(digit_limit):

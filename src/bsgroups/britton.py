@@ -47,19 +47,20 @@ there, checks the final size and copies the rest of y's tail, so a product
 costs its seam plus a copy. And when a block t^s a^x with |s| = 1 finds the
 canonicalized top equal to (s, x), x is canonical for s (0 <= x < |m| if s =
 -1, 0 <= x < |n| if s = +1), so this block and every equal one after it push
-(s, x) and leave the top as it is: a run of c copies is one list extend,
-counted by comparing slices of the word's syllables at C speed. The scan
-looks for the run only when the entry below the top equals (s, x) as well,
-at a third copy, so the pairs of equal blocks that random words hold cost
-one comparison each. The test is on the block's own exponent: a t^{2s} block
+(s, x) and leave the top as it is: a run of c copies is one extend of the
+stack, counted by comparing slices of the word's syllables at C speed. The
+scan looks for the run only when the entry below the top equals (s, x) as
+well, at a third copy, so the pairs of equal blocks that random words hold
+cost one comparison each. The test is on the block's own exponent: a t^{2s} block
 that pops once also ends with one t to push, but each further copy of it
 pushes two entries. Neither shortcut adds a carry or a step, so the cap
-slack above is unchanged.
+slack above is unchanged. A run push, of a t^e block or of equal blocks,
+builds no temporary list: the stack is extended from itertools.repeat.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress, count, islice, zip_longest
+from itertools import chain, compress, count, islice, repeat, zip_longest
 from math import gcd
 from operator import itemgetter, length_hint, ne, neg
 from typing import NamedTuple
@@ -209,7 +210,7 @@ def _scan(p: BSParams, x: BrittonNF, x0: int, blocks, cap: int,
                     lo = size + 1
                 if size > limit:
                     _check_size(size)
-                st.extend([(e, x)] * c)
+                st.extend(repeat((e, x), c))
                 next(islice(it, 2 * c - 2, 2 * c - 2), None)  # skip the run
                 continue
             size = len(st) + k  # the tail's length after the push
@@ -224,7 +225,7 @@ def _scan(p: BSParams, x: BrittonNF, x0: int, blocks, cap: int,
                 eps, r = e, x
                 break
             if k > 1:
-                st.extend([(s, 0)] * (k - 1))
+                st.extend(repeat((s, 0), k - 1))
             eps, r = s, 0
         r += x
         if r.bit_length() > cap:
@@ -270,7 +271,8 @@ def nf_invert(p: BSParams, x: BrittonNF, max_bits: int | None = None) -> Britton
 
 
 def nf_equal(p: BSParams, u: Word, v: Word, max_bits: int | None = None) -> bool:
-    return normalize(p, u, max_bits) == normalize(p, v, max_bits)
+    cap = resolve_max_bits(max_bits)
+    return normalize(p, u, cap) == normalize(p, v, cap)
 
 
 def bs_group(p: BSParams, max_bits: int | None = None) -> Group:

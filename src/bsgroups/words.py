@@ -23,7 +23,10 @@ the group as one free word, and the values of a product's factors are
 multiplied in pairs, level by level, so no product copies a long prefix once
 per factor.  In the free group a value carries its inverse, so a bracket
 costs copies of the halves it joins, not work per syllable; parse_word
-returns the word half, and a flat text never builds the inverse.
+returns the word half, and a flat text never builds the inverse.  A Group may
+bring its own power: the free group's writes w = u c u^-1 with c cyclically
+reduced, so w^e = u c^e u^-1 and c^e is one tuple repetition of c, its size
+checked before it is built; any other group takes power(), square-and-multiply.
 
 A word's a-exponent sum at each t-level (level_sums) is all that its image
 in a metabelian group needs: the abelianization, the affine model of
@@ -40,6 +43,8 @@ from __future__ import annotations
 
 import os
 import re
+from itertools import compress, count
+from operator import ne
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, ExponentCapExceeded, ParseError, WordSizeExceeded
@@ -384,12 +389,15 @@ def _factor(expr: CommExpr) -> str:
 
 
 class Group(NamedTuple):
-    """A group as callables: word(w) is the image of a free Word."""
+    """A group as callables: word(w) is the image of a free Word.  power(x, e)
+    is x^e where the group has a faster rule than square-and-multiply;
+    evaluate calls the module's power() where it is None."""
 
     identity: object
     word: Callable[[Word], object]
     mul: Callable[[object, object], object]
     inv: Callable[[object], object]
+    power: Callable[[object, int], object] | None = None
 
 
 def power(G, x, e: int):
@@ -446,7 +454,42 @@ def free_group(cap: int) -> Group:
     def inv(x: tuple[Word, Word]) -> tuple[Word, Word]:
         return x[1], x[0]
 
-    return Group((Word(), Word()), word, mul, inv)
+    def pow_(x: tuple[Word, Word], e: int) -> tuple[Word, Word]:
+        # w = u c u^-1 with c cyclically reduced, so w^e = u c^e u^-1, and c^e
+        # is one tuple repetition once the seam of c with itself is known
+        if e < 0:
+            x, e = (x[1], x[0]), -e
+        ws, vs = x[0].syllables, x[1].syllables
+        if e < 2 or not ws:
+            return x if e else (Word(), Word())
+        # syllable i of w is inverse to syllable -1-i exactly where w and w^-1
+        # agree, so u is their common prefix; a reduced w != 1 has a core
+        j = next(compress(count(), map(ne, ws, vs)))
+        k = len(ws) - j
+        u, ui, c = ws[:j], ws[k:], ws[j:k]
+        (g, alpha), (h, beta) = c[0], c[-1]
+        if len(c) == 1:
+            # square-and-multiply grows the exponent by at most one bit a
+            # step, so it stops at cap + 1 bits: report what it reports
+            if (alpha * e).bit_length() > cap:
+                raise ExponentCapExceeded(cap + 1, cap)
+            return Word(u + ((g, alpha * e),) + ui), Word(u + ((g, -alpha * e),) + ui)
+        if g == h:
+            _check_cap(alpha + beta, cap)
+        _check_size(2 * j + len(c) * e - (e - 1) * (g == h))
+        return _repeat(u, c, ui, e), _repeat(u, vs[j:k], ui, e)
+
+    return Group((Word(), Word()), word, mul, inv, pow_)
+
+
+def _repeat(u: tuple, c: tuple, ui: tuple, e: int) -> Word:
+    """u c^e ui for a core c of two or more syllables whose end syllables do
+    not cancel.  On two generators the copies of c abut; on one they merge,
+    and c = (g, x) M (g, y) gives c^e = (g, x) (M (g, x + y))^(e - 1) M (g, y)."""
+    (g, x), (h, y) = c[0], c[-1]
+    if g != h:
+        return Word(u + c * e + ui)
+    return Word(u + c[:-1] + (((g, x + y),) + c[1:-1]) * (e - 1) + c[-1:] + ui)
 
 
 def _syllable(expr: CommExpr):
@@ -504,7 +547,9 @@ def evaluate(G: Group, expr: CommExpr):
     if syllable is not None:
         return G.word(Word.from_pairs((syllable,)))
     if isinstance(expr, Power):
-        return power(G, evaluate(G, expr.base), expr.exp)
+        # finite quotients are groups by duck typing, with no power field
+        pow_, x = getattr(G, "power", None), evaluate(G, expr.base)
+        return power(G, x, expr.exp) if pow_ is None else pow_(x, expr.exp)
     if isinstance(expr, Commutator):
         x, y = evaluate(G, expr.left), evaluate(G, expr.right)
         return G.mul(G.mul(G.inv(x), G.inv(y)), G.mul(x, y))
@@ -537,8 +582,9 @@ def evaluate_text(G: Group, text: str, max_bits: int | None = None):
     """Value in G of the expression a text spells: a text without brackets or
     parentheses goes straight to syllables and to G.word in one call, which is
     what evaluating its tree does; any other text is parsed and evaluated."""
-    w = _flat_word(text, resolve_max_bits(max_bits))
-    return evaluate(G, parse_expr(text, max_bits)) if w is None else G.word(w)
+    cap = resolve_max_bits(max_bits)
+    w = _flat_word(text, cap)
+    return evaluate(G, parse_expr(text, cap)) if w is None else G.word(w)
 
 
 def parse_word(text: str, max_bits: int | None = None) -> Word:

@@ -5,7 +5,7 @@ import time
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsgroups.affine import ZnElement, affine_group, to_affine
@@ -295,6 +295,46 @@ def test_power_matches_repeated_mul():
     for e in range(-11, 12):
         we = power(R, w, e)
         assert power(F, F.word(w), e) == (we, we.inverse())
+
+
+_syllable = st.tuples(st.sampled_from("at"), st.integers(-4, 4).filter(bool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_syllable, max_size=4), st.lists(_syllable, min_size=1, max_size=5),
+       st.integers(-12, 12), st.integers(1, 8))
+@example([("t", 2), ("a", -1)], [("t", 3)], -7, 8)  # a strip, a one-syllable core
+@example([("a", 1)], [("t", 1), ("a", 2), ("t", -3)], 9, 8)  # a strip, a merged seam
+@example([], [("a", 3), ("t", 1), ("a", 3)], 5, 2)  # the merged seam passes the cap
+@example([("t", 1)], [("a", 3)], 3, 2)  # a^9 passes the cap by two bits, a^6 by one
+def test_free_power_repeats_the_cyclic_core(u, c, e, cap):
+    # w = u c u^-1, reduced, against square-and-multiply in the Word-valued
+    # free group: the same pair, or the same cap error
+    u = Word.from_pairs(u)
+    w = u * Word.from_pairs(c) * u.inverse()
+    R, F = reference_free_group(cap), free_group(cap)
+    try:
+        we = power(R, R.word(w), e)
+    except ExponentCapExceeded as exc:
+        with pytest.raises(ExponentCapExceeded) as got:
+            F.power(F.word(w), e)
+        assert (str(got.value), got.value.bits) == (str(exc), exc.bits)
+        return
+    assert F.power(F.word(w), e) == (we, we.inverse())
+
+
+def test_free_power_refusals(monkeypatch):
+    # the size of w^e is known before anything is built
+    monkeypatch.setattr("bsgroups.words._MAX_SYLLABLES", 1000)
+    assert parse_word("(t a)^500").syllables == (("t", 1), ("a", 1)) * 500
+    with pytest.raises(WordSizeExceeded, match="^word would reach 1002 syllables, limit 1000$"):
+        parse_word("(t a)^501")
+    # a^2 t a^2 squared merges a^2 a^2 = a^4, which needs 3 bits
+    F = free_group(2)
+    x = F.word(parse_word("a^2 t a^2"))
+    assert F.power(x, 1) == x
+    with pytest.raises(ExponentCapExceeded, match="^exponent needs 3 bits, cap is 2$"):
+        F.power(x, 2)
 
 
 def test_free_words_are_size_capped():

@@ -20,12 +20,17 @@ when their canonical forms coincide, for any nonzero m, n (no parameter
 canonicalization happens here).  Exponents can grow like n^k, so every
 addition is bit-capped.
 
-The scan starts from a normal form x and an a^x0 to add to it, and reads
-blocks t^e a^x as plain (e, x) pairs from every caller: a reduced Word's
-syllables alternate, so after a leading a-syllable their exponents come in
-(t, a) pairs from one iterator; a tail's (eps, r) entries are blocks as they
-stand; an inverse reads its blocks off the reversed tail. The scan builds
-its one stack from x: (0, r0) and then the tail as (eps, r) tuples, all
+The scan starts from a normal form x and reads segments after it. A
+segment is an a^x0 to add to the top, then blocks t^e a^x as plain (e, x)
+pairs: a reduced Word's syllables alternate, so after a leading a-syllable
+their exponents come in (t, a) pairs from one iterator; a normal form read
+forward is its r0, then its tail's (eps, r) entries as they stand; read as
+an inverse, a^-rk t^-ek ... t^-e1 a^-r0 is a^-rk, then the blocks
+(-e_i, -r_(i-1)) off the reversed tail. normalize is one word segment,
+nf_invert one inverse segment, nf_multiply x then y forward, and
+bs_group's commutator [x, y] = x^-1 y^-1 x y four segments from the
+identity: x and y inverse, then x and y forward. The scan builds its one
+stack from x: (0, r0) and then the tail as (eps, r) tuples, all
 canonical, and a block is one step: canonicalize the top, pop while it is
 (-sign e, 0), push the rest of t^e whole, add x to the new top. While the
 scan runs, the top lives in two locals and the list holds the entries below
@@ -40,22 +45,32 @@ canonical and pinch-free, so by uniqueness it is the same whenever carries
 settle. Only the bit cap can tell: a deferred sum holds up to one carry per
 step, so it may need up to 1 + bit_length(steps) bits more.
 
-Two kinds of input skip the per-block step. In a product x y, y's tail is
-canonical and has no pinch, so once one of its blocks pushes, every later
-one pushes too, unchanged and with no carry: the scan settles the stack
-there, checks the final size and copies the rest of y's tail, so a product
-costs its seam plus a copy. And when a block t^s a^x with |s| = 1 finds the
-canonicalized top equal to (s, x), x is canonical for s (0 <= x < |m| if s =
--1, 0 <= x < |n| if s = +1), so this block and every equal one after it push
-(s, x) and leave the top as it is: a run of c copies is one extend of the
-stack, counted by comparing slices of the word's syllables at C speed. The
-scan looks for the run only when the entry below the top equals (s, x) as
-well, at a third copy, so the pairs of equal blocks that random words hold
-cost one comparison each. The test is on the block's own exponent: a t^{2s} block
-that pops once also ends with one t to push, but each further copy of it
-pushes two entries. Neither shortcut adds a carry or a step, so the cap
-slack above is unchanged. A run push, of a t^e block or of equal blocks,
-builds no temporary list: the stack is extended from itertools.repeat.
+Two kinds of input skip the per-block step. A forward segment is canonical
+and has no pinch, so once one of its blocks pushes, every later one pushes
+too, unchanged and with no carry: the scan settles the carries that wait
+below, checks the size with the rest of the segment, and copies the rest
+as it is. A product so costs its seam plus a copy, and so does each forward
+half of a commutator, whose scan holds x^-1 y^-1 x on its way: that prefix,
+which x^-1 y^-1 x y built from products never builds, must fit the size
+limit even where y would cancel it. And when a block t^s a^x with |s| = 1
+finds the canonicalized top equal to (s, x), x is canonical for s
+(0 <= x < |m| if s = -1, 0 <= x < |n| if s = +1), so this block and every
+equal one after it push (s, x) and leave the top as it is: a run of c
+copies is one extend of the stack, counted by comparing slices of the
+word's syllables at C speed. The scan looks for the run only when the entry
+below the top equals (s, x) as well, at a third copy, so the pairs of equal
+blocks that random words hold cost one comparison each. The test is on the
+block's own exponent: a t^{2s} block that pops once also ends with one t to
+push, but each further copy of it pushes two entries. Neither shortcut adds
+a carry or a step, so the cap slack above is unchanged. A run push, of a
+t^e block or of equal blocks, builds no temporary list: the stack is
+extended from itertools.repeat.
+
+bs_group's power of a^r is a^(re). Any other x^e is square-and-multiply,
+after one size check: when x x pops nothing at its seam, neither does any
+seam of x^j with x, since the last entry of x^j is x's own and decides the
+seam the same way, so x^e has exactly |e| times x's tail entries, and a
+power past the limit is refused before any squaring.
 """
 
 from __future__ import annotations
@@ -66,7 +81,7 @@ from operator import itemgetter, length_hint, ne, neg
 from typing import NamedTuple
 
 from .errors import DomainError, ExponentCapExceeded
-from .words import Group, Word, decimal, level_sums, resolve_max_bits
+from .words import Group, Word, decimal, level_sums, power, resolve_max_bits
 from . import words
 from .words import _check_cap, _check_size
 
@@ -158,14 +173,16 @@ def _period_two_run(syl: tuple, j: int) -> int:
         h *= 2
 
 
-def _scan(p: BSParams, x: BrittonNF, x0: int, blocks, cap: int,
-          runs: tuple | None = None, seam: bool = False) -> BrittonNF:
-    """The normal form of x a^x0 followed by the blocks t^e a^x.
+def _scan(p: BSParams, x: BrittonNF, segments, cap: int,
+          runs: tuple | None = None) -> BrittonNF:
+    """The normal form of x followed by the segments.
 
-    blocks yields (e, x) pairs. With runs = (syl, it), they are read from
-    the syllables syl that the iterator it yields, and a run of equal blocks
-    is pushed in one step. With seam, blocks iterates over a canonical tail:
-    from the first block that pushes on, the rest of it is copied as it is.
+    A segment is a triple (x0, blocks, forward): a^x0, then the blocks t^e a^x
+    that blocks yields as (e, x) pairs.  A forward segment iterates over a
+    canonical tail: from its first block that pushes on, the rest of it is
+    copied as it is.  With runs = (syl, it), blocks are read from the
+    syllables syl that the iterator it yields, and a run of equal blocks is
+    pushed in one step.
     """
     m, n = p
     am, an = abs(m), abs(n)
@@ -175,68 +192,90 @@ def _scan(p: BSParams, x: BrittonNF, x0: int, blocks, cap: int,
     # The top entry lives in (eps, r) and st holds the entries below it, so
     # the full stack is st + [(eps, r)] and its length is len(st) + 1.
     eps, r = st.pop()
-    r += x0
-    if r.bit_length() > cap:
-        raise ExponentCapExceeded(r.bit_length(), cap)
     limit = words._MAX_SYLLABLES
-    for e, x in blocks:
-        s, k = (1, e) if e > 0 else (-1, -e)
-        while st:
-            # canonicalize the top only; its carry waits in the entry below
-            mod, f = (am, fm) if eps < 0 else (an, fn)
-            if not 0 <= r < mod:
-                q, r = divmod(r, mod)
-                below_eps, below_r = st[-1]
-                below_r += q * f
-                if below_r.bit_length() > cap:
-                    raise ExponentCapExceeded(below_r.bit_length(), cap)
-                st[-1] = (below_eps, below_r)
-                if len(st) <= lo:
-                    lo = len(st) - 1 or 1  # st[0] is never settled
-            if not k or r or eps != -s:
-                break
-            eps, r = st.pop()
-            k -= 1
-        if k:
-            if r == x and eps == e and st[-1] == (e, x) and runs:
-                # a third copy of the block: e = +-1 and x is canonical, so
-                # it and the c - 1 equal blocks after it push (e, x) and
-                # leave the top as it is.  Kept apart from the push below,
-                # which then pays nothing for runs but the test above.
-                syl, it = runs
-                c = 1 + _period_two_run(syl, len(syl) - length_hint(it)) // 2
-                size = len(st) + c
-                if lo >= len(st):
-                    lo = size + 1
-                if size > limit:
-                    _check_size(size)
-                st.extend(repeat((e, x), c))
-                next(islice(it, 2 * c - 2, 2 * c - 2), None)  # skip the run
-                continue
-            size = len(st) + k  # the tail's length after the push
-            if seam:
-                size += length_hint(blocks)
-            if lo >= len(st):  # a push onto a clean stack keeps it clean
-                lo = size + 1
-            if size > limit:
-                _check_size(size)  # bounds the tail before it is built
-            st.append((eps, r))
-            if seam:  # (e, x) is canonical: it and the rest are copied
-                eps, r = e, x
-                break
-            if k > 1:
-                st.extend(repeat((s, 0), k - 1))
-            eps, r = s, 0
-        r += x
+    for x0, blocks, forward in segments:
+        r += x0
         if r.bit_length() > cap:
             raise ExponentCapExceeded(r.bit_length(), cap)
+        for e, x in blocks:
+            s, k = (1, e) if e > 0 else (-1, -e)
+            while st:
+                # canonicalize the top only; its carry waits in the entry below
+                mod, f = (am, fm) if eps < 0 else (an, fn)
+                if not 0 <= r < mod:
+                    q, r = divmod(r, mod)
+                    below_eps, below_r = st[-1]
+                    below_r += q * f
+                    if below_r.bit_length() > cap:
+                        raise ExponentCapExceeded(below_r.bit_length(), cap)
+                    st[-1] = (below_eps, below_r)
+                    if len(st) <= lo:
+                        lo = len(st) - 1 or 1  # st[0] is never settled
+                if not k or r or eps != -s:
+                    break
+                eps, r = st.pop()
+                k -= 1
+            if k:
+                if r == x and eps == e and st[-1] == (e, x) and runs:
+                    # a third copy of the block: e = +-1 and x is canonical, so
+                    # it and the c - 1 equal blocks after it push (e, x) and
+                    # leave the top as it is.  Kept apart from the push below,
+                    # which then pays nothing for runs but the test above.
+                    syl, it = runs
+                    c = 1 + _period_two_run(syl, len(syl) - length_hint(it)) // 2
+                    size = len(st) + c
+                    if lo >= len(st):
+                        lo = size + 1
+                    if size > limit:
+                        _check_size(size)
+                    st.extend(repeat((e, x), c))
+                    next(islice(it, 2 * c - 2, 2 * c - 2), None)  # skip the run
+                    continue
+                size = len(st) + k  # the tail's length after the push
+                if forward:
+                    size += length_hint(blocks)
+                if lo >= len(st):  # a push onto a clean stack keeps it clean
+                    lo = size + 1
+                if size > limit:
+                    _check_size(size)  # bounds the tail before it is built
+                st.append((eps, r))
+                if forward:
+                    # (e, x) and the rest of the segment are canonical: settle
+                    # the carries that wait below them, then copy them
+                    if lo <= size:
+                        _settle(m, n, st, lo, cap)
+                        lo = size + 1
+                    st.append((e, x))
+                    st.extend(blocks)
+                    eps, r = st.pop()
+                    break
+                if k > 1:
+                    st.extend(repeat((s, 0), k - 1))
+                eps, r = s, 0
+            r += x
+            if r.bit_length() > cap:
+                raise ExponentCapExceeded(r.bit_length(), cap)
     st.append((eps, r))
     _settle(m, n, st, lo, cap)
-    if seam:
-        st.extend(blocks)
     r0 = st[0][1]
     del st[0]
     return BrittonNF(r0, tuple(st))  # the tail copied once
+
+
+def _forward(x: BrittonNF) -> tuple:
+    """x as a segment: a^r0, then its canonical tail."""
+    return x.r0, iter(x.tail), True
+
+
+def _inverse(x: BrittonNF) -> tuple:
+    """x^-1 = a^-rk t^-ek ... a^-r1 t^-e1 a^-r0 as a segment: a^-rk, then the
+    blocks (-e_i, -r_(i-1)) read off the reversed tail."""
+    if not x.tail:
+        return -x.r0, (), False
+    rev = x.tail[::-1]
+    es = map(neg, map(_SIGN, rev))
+    xs = map(neg, chain(map(_EXP, islice(rev, 1, None)), (x.r0,)))
+    return -rev[0][1], zip(es, xs), False
 
 
 _ONE = BrittonNF()
@@ -252,22 +291,19 @@ def normalize(p: BSParams, w: Word, max_bits: int | None = None) -> BrittonNF:
     it = iter(syl)
     x0 = next(it)[1] if syl and syl[0][0] == "a" else 0
     exps = map(_EXP, it)
-    return _scan(p, _ONE, x0, zip_longest(exps, exps, fillvalue=0), resolve_max_bits(max_bits),
-                 runs=(syl, it))
+    return _scan(p, _ONE, ((x0, zip_longest(exps, exps, fillvalue=0), False),),
+                 resolve_max_bits(max_bits), runs=(syl, it))
 
 
 def nf_multiply(p: BSParams, x: BrittonNF, y: BrittonNF, max_bits: int | None = None) -> BrittonNF:
     """Product of two canonical forms: the scan of x resumes on y's tail up
     to y's first push, and the rest of y's tail is copied."""
-    return _scan(p, x, y.r0, iter(y.tail), resolve_max_bits(max_bits), seam=True)
+    return _scan(p, x, (_forward(y),), resolve_max_bits(max_bits))
 
 
 def nf_invert(p: BSParams, x: BrittonNF, max_bits: int | None = None) -> BrittonNF:
-    """a^-rk t^-ek ... a^-r1 t^-e1 a^-r0, scanned as the blocks (-e_i, -r_(i-1))."""
-    rev = x.tail[::-1]
-    es = map(neg, map(_SIGN, rev))
-    xs = map(neg, chain(map(_EXP, islice(rev, 1, None)), (x.r0,)))
-    return _scan(p, _ONE, -(rev[0][1] if rev else x.r0), zip(es, xs), resolve_max_bits(max_bits))
+    """The inverse of a canonical form, scanned block by block."""
+    return _scan(p, _ONE, (_inverse(x),), resolve_max_bits(max_bits))
 
 
 def nf_equal(p: BSParams, u: Word, v: Word, max_bits: int | None = None) -> bool:
@@ -276,10 +312,44 @@ def nf_equal(p: BSParams, u: Word, v: Word, max_bits: int | None = None) -> bool
 
 
 def bs_group(p: BSParams, max_bits: int | None = None) -> Group:
-    """BS(m, n) on Britton normal forms."""
+    """BS(m, n) on Britton normal forms.
+
+    Each distinct generator run is normalized once per group.  [x, y] is one
+    scan of x^-1, y^-1, x and y.  A power of a^r is a^(re); any other power
+    is square-and-multiply, refused first when its size is known to pass
+    the limit: if x x pops nothing at its seam, x^e has |e| times x's tail.
+    """
     cap = resolve_max_bits(max_bits)
-    return Group(BrittonNF(), lambda w: normalize(p, w, cap),
-                 lambda x, y: nf_multiply(p, x, y, cap), lambda x: nf_invert(p, x, cap))
+    values: dict[Word, BrittonNF] = {}
+
+    def word(w: Word) -> BrittonNF:
+        value = values.get(w)
+        if value is None:
+            value = values[w] = normalize(p, w, cap)
+        return value
+
+    def commutator(x: BrittonNF, y: BrittonNF) -> BrittonNF:
+        return _scan(p, _ONE, (_inverse(x), _inverse(y), _forward(x), _forward(y)), cap)
+
+    def pow_(x: BrittonNF, e: int) -> BrittonNF:
+        if not x.tail:
+            # square-and-multiply grows the exponent by at most one bit a
+            # step, so it stops at cap + 1 bits: report what it reports
+            r = x.r0 * e
+            if r.bit_length() > cap:
+                raise ExponentCapExceeded(cap + 1, cap)
+            return BrittonNF(r)
+        if e < 0:
+            x, e = G.inv(x), -e
+        # the last entry of x^j is x's own, so every seam of x^j with x
+        # decides as the seam of x x does; power() starts with x x too
+        if e > 1 and len(G.mul(x, x).tail) == 2 * len(x.tail):
+            _check_size(e * len(x.tail))
+        return power(G, x, e)
+
+    G = Group(_ONE, word, lambda x, y: nf_multiply(p, x, y, cap), lambda x: nf_invert(p, x, cap),
+              pow_, commutator)
+    return G
 
 
 def nf_is_valid(p: BSParams, nf: BrittonNF) -> bool:

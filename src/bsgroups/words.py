@@ -23,10 +23,13 @@ the group as one free word, and the values of a product's factors are
 multiplied in pairs, level by level, so no product copies a long prefix once
 per factor.  In the free group a value carries its inverse, so a bracket
 costs copies of the halves it joins, not work per syllable; parse_word
-returns the word half, and a flat text never builds the inverse.  A Group may
-bring its own power: the free group's writes w = u c u^-1 with c cyclically
-reduced, so w^e = u c^e u^-1 and c^e is one tuple repetition of c, its size
-checked before it is built; any other group takes power(), square-and-multiply.
+returns the word half, and neither a flat text nor a power at the top of a
+text builds the inverse.  A Group may bring its own power: the free group's
+writes w = u c u^-1 with c cyclically reduced, so w^e = u c^e u^-1 and c^e
+is one tuple repetition of c, its size checked before it is built; any other
+group takes power(), square-and-multiply.  A Group may bring its own
+commutator too, as Britton normal forms do with one scan of x^-1 y^-1 x y;
+any other group builds [x, y] from two inverses and three products.
 
 A word's a-exponent sum at each t-level (level_sums) is all that its image
 in a metabelian group needs: the abelianization, the affine model of
@@ -390,14 +393,16 @@ def _factor(expr: CommExpr) -> str:
 
 class Group(NamedTuple):
     """A group as callables: word(w) is the image of a free Word.  power(x, e)
-    is x^e where the group has a faster rule than square-and-multiply;
-    evaluate calls the module's power() where it is None."""
+    is x^e and commutator(x, y) is [x, y] where the group has a faster rule
+    than square-and-multiply or x^-1 y^-1 x y built from mul and inv;
+    evaluate uses those where they are None."""
 
     identity: object
     word: Callable[[Word], object]
     mul: Callable[[object, object], object]
     inv: Callable[[object], object]
     power: Callable[[object, int], object] | None = None
+    commutator: Callable[[object, object], object] | None = None
 
 
 def power(G, x, e: int):
@@ -455,31 +460,39 @@ def free_group(cap: int) -> Group:
         return x[1], x[0]
 
     def pow_(x: tuple[Word, Word], e: int) -> tuple[Word, Word]:
-        # w = u c u^-1 with c cyclically reduced, so w^e = u c^e u^-1, and c^e
-        # is one tuple repetition once the seam of c with itself is known
-        if e < 0:
-            x, e = (x[1], x[0]), -e
-        ws, vs = x[0].syllables, x[1].syllables
-        if e < 2 or not ws:
-            return x if e else (Word(), Word())
-        # syllable i of w is inverse to syllable -1-i exactly where w and w^-1
-        # agree, so u is their common prefix; a reduced w != 1 has a core
-        j = next(compress(count(), map(ne, ws, vs)))
-        k = len(ws) - j
-        u, ui, c = ws[:j], ws[k:], ws[j:k]
-        (g, alpha), (h, beta) = c[0], c[-1]
-        if len(c) == 1:
-            # square-and-multiply grows the exponent by at most one bit a
-            # step, so it stops at cap + 1 bits: report what it reports
-            if (alpha * e).bit_length() > cap:
-                raise ExponentCapExceeded(cap + 1, cap)
-            return Word(u + ((g, alpha * e),) + ui), Word(u + ((g, -alpha * e),) + ui)
-        if g == h:
-            _check_cap(alpha + beta, cap)
-        _check_size(2 * j + len(c) * e - (e - 1) * (g == h))
-        return _repeat(u, c, ui, e), _repeat(u, vs[j:k], ui, e)
+        return _power_word(x, e, cap), _power_word(x, -e, cap)
 
     return Group((Word(), Word()), word, mul, inv, pow_)
+
+
+def _power_word(x: tuple[Word, Word], e: int, cap: int) -> Word:
+    """The word half of x^e for a free-group value x = (w, w^-1).
+
+    w = u c u^-1 with c cyclically reduced, so w^e = u c^e u^-1, and c^e is
+    one tuple repetition once the seam of c with itself is known; its size
+    is checked before it is built.  The inverse half is the word half of
+    x^-e, which passes the same checks."""
+    if e < 0:
+        x, e = (x[1], x[0]), -e
+    ws, vs = x[0].syllables, x[1].syllables
+    if e < 2 or not ws:
+        return x[0] if e else Word()
+    # syllable i of w is inverse to syllable -1-i exactly where w and w^-1
+    # agree, so u is their common prefix; a reduced w != 1 has a core
+    j = next(compress(count(), map(ne, ws, vs)))
+    k = len(ws) - j
+    u, ui, c = ws[:j], ws[k:], ws[j:k]
+    (g, alpha), (h, beta) = c[0], c[-1]
+    if len(c) == 1:
+        # square-and-multiply grows the exponent by at most one bit a step,
+        # so it stops at cap + 1 bits: report what it reports
+        if (alpha * e).bit_length() > cap:
+            raise ExponentCapExceeded(cap + 1, cap)
+        return Word(u + ((g, alpha * e),) + ui)
+    if g == h:
+        _check_cap(alpha + beta, cap)
+    _check_size(2 * j + len(c) * e - (e - 1) * (g == h))
+    return _repeat(u, c, ui, e)
 
 
 def _repeat(u: tuple, c: tuple, ui: tuple, e: int) -> Word:
@@ -551,7 +564,10 @@ def evaluate(G: Group, expr: CommExpr):
         pow_, x = getattr(G, "power", None), evaluate(G, expr.base)
         return power(G, x, expr.exp) if pow_ is None else pow_(x, expr.exp)
     if isinstance(expr, Commutator):
+        comm = getattr(G, "commutator", None)
         x, y = evaluate(G, expr.left), evaluate(G, expr.right)
+        if comm is not None:
+            return comm(x, y)
         return G.mul(G.mul(G.inv(x), G.inv(y)), G.mul(x, y))
     raise TypeError(f"not a CommExpr: {expr!r}")
 
@@ -589,10 +605,16 @@ def evaluate_text(G: Group, text: str, max_bits: int | None = None):
 
 def parse_word(text: str, max_bits: int | None = None) -> Word:
     """evaluate_text in the free group, as a Word; handy for the library and
-    tests.  A flat text is read to its Word alone, with no inverse built."""
+    tests.  A flat text is read to its Word alone, and a top-level power of
+    anything but a generator to its word half: neither builds an inverse."""
     cap = resolve_max_bits(max_bits)
     w = _flat_word(text, cap)
-    return evaluate(free_group(cap), parse_expr(text, cap))[0] if w is None else _capped(w, cap)
+    if w is not None:
+        return _capped(w, cap)
+    expr, F = parse_expr(text, cap), free_group(cap)
+    if isinstance(expr, Power) and _syllable(expr) is None:
+        return _power_word(evaluate(F, expr.base), expr.exp, cap)
+    return evaluate(F, expr)[0]
 
 
 def gamma_weight_lower_bound(expr: CommExpr):

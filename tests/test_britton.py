@@ -10,14 +10,15 @@ from bsgroups.britton import (
     BrittonNF,
     BSParams,
     abelianize,
+    bs_group,
     nf_equal,
     nf_invert,
     nf_is_valid,
     nf_multiply,
     normalize,
 )
-from bsgroups.errors import DomainError, ExponentCapExceeded
-from bsgroups.words import Word, parse_word
+from bsgroups.errors import DomainError, ExponentCapExceeded, WordSizeExceeded
+from bsgroups.words import Word, parse_word, power
 
 from helpers import commutator, eager_multiply, eager_normalize, insert_relator, least_cap, rand_word
 
@@ -333,3 +334,114 @@ def test_scan_work_is_linear(monkeypatch):
     assert calls <= 10
     assert xy == eager_multiply(p, x, y)
     assert nf_invert(p, y) == eager_normalize(p, w.inverse())
+
+
+# bs_group's own rules against the five-operation commutator x^-1 y^-1 x y
+# and square-and-multiply (words.power).
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ExponentCapExceeded, WordSizeExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    params.flatmap(lambda p: st.tuples(st.just(p), spliced_words(p), spliced_words(p))),
+    st.integers(-12, 12),
+    st.integers(-10**6, 10**6),
+    st.one_of(st.none(), st.integers(8, 48)),
+)
+def test_group_rules_match_five_operations(puv, e, r, cap):
+    p, u, v = puv
+    G = bs_group(p, cap)
+    # a generator run is normalized once per group
+    value = _outcome(G.word, u)
+    assert value == _outcome(normalize, p, u, cap)
+    if isinstance(value, BrittonNF):
+        assert G.word(u) is value
+    x, y = normalize(p, u), normalize(p, v)
+    got = _outcome(G.commutator, x, y)
+    want = _outcome(lambda: G.mul(G.mul(G.inv(x), G.inv(y)), G.mul(x, y)))
+    if isinstance(got, BrittonNF) and isinstance(want, BrittonNF):
+        assert got == want and nf_is_valid(p, got)
+    if cap is None:
+        assert got == eager_normalize(p, commutator(u, v))
+    # deferred carries may meet the cap elsewhere in a tail, so only the
+    # answers are compared there; a^r powers refuse exactly as the oracle
+    got, want = _outcome(G.power, x, e), _outcome(power, G, x, e)
+    if isinstance(got, BrittonNF) and isinstance(want, BrittonNF):
+        assert got == want
+    if cap is None:
+        assert got == eager_normalize(p, Word.from_pairs(u.syllables * abs(e)) if e > 0
+                                      else Word.from_pairs(u.inverse().syllables * -e))
+    # a value of the group is within its cap
+    a_r = BrittonNF(r >> max(0, r.bit_length() - (cap or r.bit_length())))
+    assert _outcome(G.power, a_r, e) == _outcome(power, G, a_r, e)
+
+
+def test_commutator_costs_no_more_than_five_operations(monkeypatch):
+    calls = 0
+
+    def counting(e, d):
+        nonlocal calls
+        calls += 1
+        return divmod(e, d)
+
+    monkeypatch.setattr(britton, "divmod", counting, raising=False)
+    rng = random.Random(12)
+    for p in (BSParams(2, 3), BSParams(-3, 2), BSParams(4, -3)):
+        # nonzero residues leave no pinch in a tail
+        x, y = (
+            BrittonNF(rng.randint(-9, 9), tuple(
+                (eps, rng.randrange(1, abs(p.m if eps < 0 else p.n)))
+                for eps in (rng.choice((-1, 1)) for _ in range(10**4))
+            ))
+            for _ in range(2)
+        )
+        assert nf_is_valid(p, x) and nf_is_valid(p, y)
+        G = bs_group(p)
+        t = G.word(Word((("t", 1),)))
+        for u, v in ((x, y), (x, x), (x, G.inv(x)), (y, G.mul(x, y)), (x, t), (t, x)):
+            calls = 0
+            want = G.mul(G.mul(G.inv(u), G.inv(v)), G.mul(u, v))
+            five = calls
+            calls = 0
+            assert G.commutator(u, v) == want
+            assert calls <= five, (p, calls, five)
+        # x^-1 costs a step and a settle per entry, and x is copied: a settle
+        # put off to the end would walk the copy as well
+        calls = 0
+        G.commutator(x, t)
+        assert calls <= 2 * len(x.tail) + 10
+
+
+def test_group_power_and_commutator_refusals(monkeypatch):
+    monkeypatch.setattr("bsgroups.words._MAX_SYLLABLES", 1000)
+    p = BSParams(2, 3)
+    G = bs_group(p)
+    # [a, t] has two tail entries and x x pops nothing at its seam, so the
+    # size of x^e is known, and refused, before any squaring
+    x = normalize(p, parse_word("[a, t]"))
+    assert len(G.power(x, 500).tail) == len(G.power(x, -500).tail) == 1000
+    for e in (513, -513):
+        # square-and-multiply would first build x^512, of 1024 entries
+        with pytest.raises(WordSizeExceeded, match="^word would reach 1026 syllables, limit 1000$"):
+            G.power(x, e)
+    # t a T pops its T at the seam of x x, so its power squares as before
+    x = normalize(p, parse_word("t a T"))
+    assert G.power(x, 10**9) == normalize(p, parse_word("t a^1000000000 T"))
+    # the scan builds x^-1 y^-1 x, which the five operations never do: here
+    # it passes the limit although y cancels most of it again
+    x, y = normalize(p, parse_word("t^400")), normalize(p, parse_word("T^400 a"))
+    five = G.mul(G.mul(G.inv(x), G.inv(y)), G.mul(x, y))
+    assert five == normalize(p, parse_word("T^400 A t^400 a")) and len(five.tail) == 800
+    with pytest.raises(WordSizeExceeded, match="^word would reach 1200 syllables, limit 1000$"):
+        G.commutator(x, y)
+    # a^r powers are closed forms with square-and-multiply's refusal
+    G = bs_group(p, 8)
+    assert G.power(BrittonNF(3), 85) == BrittonNF(255)
+    with pytest.raises(ExponentCapExceeded, match="^exponent needs 9 bits, cap is 8$"):
+        G.power(BrittonNF(3), -86)

@@ -653,6 +653,41 @@ def test_free_values_invert_no_long_word(monkeypatch):
     assert calls == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(_exprs, st.integers(-12, 12), st.integers(1, 12))
+def test_parse_word_of_a_power_is_its_word_half(expr, e, cap):
+    # the same Word as the free group's value of the text, or the same error
+    text = pretty_print(Power(expr, e))
+    want = _outcome(lambda s, c: evaluate(free_group(c), parse_expr(s, c))[0], text, cap)
+    assert _outcome(parse_word, text, cap) == want
+
+
+def test_parse_word_of_a_power_builds_no_inverse(monkeypatch):
+    # Work, not time: the free group repeats the cores of both halves of a
+    # power, parse_word that of the word half alone.
+    from bsgroups import words
+
+    calls = 0
+    repeat = words._repeat
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return repeat(*args)
+
+    monkeypatch.setattr(words, "_repeat", counting)
+    assert parse_word("(t a)^60000") == Word((("t", 1), ("a", 1)) * 60000)
+    assert calls == 1
+    # a one-syllable core reports the cap + 1 bits where square-and-multiply
+    # stops, not the 14 bits of a^10000
+    with pytest.raises(ExponentCapExceeded) as exc:
+        parse_word("(a^100)^100", 8)
+    assert str(exc.value) == "exponent needs 9 bits, cap is 8"
+    with pytest.raises(WordSizeExceeded) as exc:
+        parse_word("(t a)^1000000000")
+    assert str(exc.value) == "word would reach 2000000000 syllables, limit 2000000"
+
+
 @settings(max_examples=150, deadline=None)
 @given(_groups, st.lists(_exprs, max_size=12))
 def test_product_in_pairs_matches_left_fold(G, factors):

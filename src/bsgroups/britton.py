@@ -113,13 +113,6 @@ class BrittonNF(NamedTuple):
     def is_identity(self) -> bool:
         return self.r0 == 0 and not self.tail
 
-    def to_word(self) -> Word:
-        pairs: list[tuple[str, int]] = [("a", self.r0)]
-        for eps, r in self.tail:
-            pairs.append(("t", eps))
-            pairs.append(("a", r))
-        return Word.from_pairs(pairs)
-
     def __str__(self) -> str:
         parts: list[str] = []
         if self.r0 != 0:
@@ -350,19 +343,6 @@ def bs_group(p: BSParams, max_bits: int | None = None) -> Group:
     G = Group(_ONE, word, lambda x, y: nf_multiply(p, x, y, cap), lambda x: nf_invert(p, x, cap),
               pow_, commutator)
     return G
-
-
-def nf_is_valid(p: BSParams, nf: BrittonNF) -> bool:
-    """Structural check used by tests: residue ranges plus pinch-freeness."""
-    am, an = abs(p.m), abs(p.n)
-    for i, (eps, r) in enumerate(nf.tail):
-        if eps not in (-1, 1):
-            return False
-        if not 0 <= r < (am if eps == -1 else an):
-            return False
-        if r == 0 and i + 1 < len(nf.tail) and nf.tail[i + 1][0] == -eps:
-            return False
-    return True
 
 
 class AbImage(NamedTuple):

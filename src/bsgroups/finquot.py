@@ -11,8 +11,9 @@ Two families of finite p-group quotients are built explicitly:
 
 Both are metabelian, so a word's image is a closed form in its a-exponent
 sums per t-level (words.level_sums), whose cost does not depend on |Q|.
-A record's fold reads those sums, so a search computes them once for the
-whole family.
+A record's image of a word is its fold of those sums, through fq_eval; a
+search takes the sums once and folds them in every quotient of the family.
+A record's mul and inv are its law, the product rule that the fold obeys.
 
 Their lower central series have closed forms.  From gamma_2 on, every
 term lies in the abelian base: p^min(k, (i-1)v) Z_{p^k} for the semidirect
@@ -53,11 +54,6 @@ def _max_exponent(p: int, cap: int) -> int:
     while power <= cap:
         e, power = e + 1, power * p
     return e
-
-
-def _quotient_word(q, w: Word):
-    """Image of a free word: the record's fold of its level sums."""
-    return q.fold(*level_sums(w))
 
 
 def _quotient_json(q) -> dict:
@@ -105,7 +101,6 @@ class Semidirect(NamedTuple):
     def describe(self) -> str:
         return f"Z_{self.p**self.k} x|_{self.u} Z_{self.p**self.j}"
 
-    word = _quotient_word
     to_json_dict = _quotient_json
 
 
@@ -155,7 +150,6 @@ class Wreath(NamedTuple):
     def describe(self) -> str:
         return f"Z_{self.p**self.e} wr Z_{self.p**self.j}"
 
-    word = _quotient_word
     to_json_dict = _quotient_json
 
 
@@ -163,8 +157,8 @@ FinQuot = Semidirect | Wreath
 
 
 def fq_eval(q: FinQuot, w: Word):
-    """Image of w in q: the closed form q.word, whose cost does not depend on |Q|."""
-    return q.word(w)
+    """Image of w in q: the fold of its level sums, whose cost does not depend on |Q|."""
+    return q.fold(*level_sums(w))
 
 
 def bs_relation_holds(q: FinQuot, m: int, n: int) -> bool:
@@ -387,11 +381,14 @@ class Certificate(NamedTuple):
         return not chain.contains(self.i, self.image)
 
     def to_json_dict(self) -> dict:
-        # m, n and the word are the question; the quotient is spelled by its own JSON.
-        data = json_fields(self)
-        for key in ("m", "n", "word", "quotient"):
-            del data[key]
-        return {**self.quotient.to_json_dict(), **data}
+        # m, n and the word are the question and are left out, so the free
+        # word is never walked; the quotient is spelled by its own JSON.
+        return {
+            **self.quotient.to_json_dict(),
+            "image": json_fields(self.image),
+            "i": self.i,
+            "gamma_sizes": json_fields(self.gamma_sizes),
+        }
 
 
 def _semidirect_primes(m: int, n: int) -> list[int]:

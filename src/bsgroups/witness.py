@@ -30,6 +30,7 @@ from .words import (
     CommExpr,
     Commutator,
     Gen,
+    Group,
     Power,
     Product,
     Word,
@@ -76,9 +77,8 @@ class MembershipWitness(NamedTuple):
         )
 
 
-def _verified(p: BSParams, expr: CommExpr, target: Word, depth: int,
-              max_bits: int | None = None) -> MembershipWitness:
-    G = bs_group(p, max_bits)
+def _verified(p: BSParams, expr: CommExpr, target: Word, depth: int, G: Group) -> MembershipWitness:
+    """Check expr against target in G = bs_group(p), and its structural weight."""
     if evaluate(G, expr) != G.word(target):
         raise VerificationError(
             f"witness {pretty_print(expr)} does not evaluate to {target} "
@@ -109,7 +109,7 @@ def lemma2_witness(p: BSParams, i: int, max_bits: int | None = None) -> Membersh
         raise DomainError(f"witness index must be between 1 and {MAX_NESTING}")
     expr = _tower(p.m, p.m, i)
     target = Word.from_pairs((("a", (p.n - p.m) ** i),))
-    w = _verified(p, expr, target, i + 1, max_bits)
+    w = _verified(p, expr, target, i + 1, bs_group(p, max_bits))
     if comm_depth(expr) != i:
         raise VerificationError("witness has wrong commutator depth")
     return w
@@ -120,8 +120,9 @@ def gamma_membership_witness(
 ) -> MembershipWitness:
     """Express target as an (s-1)-fold commutator, certifying target in gamma_s.
 
-    Supported shape: n = m + d with d = gcd(m, n) > 0 and target = a^d
-    (d = 1 makes the target the generator a itself).  Construction:
+    Supported shape: n = m + d with d = gcd(m, n) > 0 and target equal to
+    a^d in the group (d = 1 makes it the generator a itself); the record
+    keeps the target as given.  Construction:
     U_1 = [a^m, t] and U_{j+1} = [U_j^(m/d), t]; every U_j evaluates to a^d.
     """
     if not 2 <= s <= MAX_NESTING + 1:
@@ -133,9 +134,11 @@ def gamma_membership_witness(
         raise DomainError(
             f"no witness recipe for BS({decimal(p.m)},{decimal(p.n)}): it needs n = m + gcd(m, n)"
         )
-    if target != Word.from_pairs((("a", d),)):
-        raise DomainError(f"unsupported target {target}; expected a^{decimal(d)}")
-    return _verified(p, _tower(p.m, p.m // d, s - 1), target, s, max_bits)
+    # the group normalizes each distinct word once, the target's too
+    G, a_d = bs_group(p, max_bits), Word.from_pairs((("a", d),))
+    if G.word(target) != G.word(a_d):
+        raise DomainError(f"unsupported target {target}; expected {a_d}")
+    return _verified(p, _tower(p.m, p.m // d, s - 1), target, s, G)
 
 
 class OmegaStabilityReport(NamedTuple):
@@ -177,7 +180,7 @@ def omega_stability_check(p: BSParams, max_bits: int | None = None) -> OmegaStab
     cm, cn = rep.canonical
     q = BSParams(cm, cn)
     k = cm // d
-    _verified(q, _tower(cm, 1, 1), Word.from_pairs((("a", d),)), 2, max_bits)
+    _verified(q, _tower(cm, 1, 1), Word.from_pairs((("a", d),)), 2, bs_group(q, max_bits))
     a_d, a_kd = f"a^{decimal(d)}", f"a^{decimal(cm)}"
     identity = f"{a_d} = [{a_kd}, t] with {a_kd} in gamma_omega"
     return OmegaStabilityReport(p.m, p.n, d, k, identity, True)

@@ -33,7 +33,8 @@ any other group builds [x, y] from two inverses and three products.
 
 A word's a-exponent sum at each t-level (level_sums) is all that its image
 in a metabelian group needs: the abelianization, the affine model of
-BS(1, n) and the finite quotients all read it.
+BS(1, n) and the finite quotients all read it.  A finite quotient is a fold
+of these sums (finquot.fq_eval), not a Group.
 
 All exponents are exact Python ints.  Rewriting elsewhere in the package can
 make exponents explode (conjugation by t^k scales a-exponents by n^k), so a
@@ -392,10 +393,11 @@ def _factor(expr: CommExpr) -> str:
 
 
 class Group(NamedTuple):
-    """A group as callables: word(w) is the image of a free Word.  power(x, e)
-    is x^e and commutator(x, y) is [x, y] where the group has a faster rule
-    than square-and-multiply or x^-1 y^-1 x y built from mul and inv;
-    evaluate uses those where they are None."""
+    """A group as callables, the only kind of group evaluate takes: word(w)
+    is the image of a free Word.  power(x, e) is x^e and commutator(x, y) is
+    [x, y] where the group has a faster rule than square-and-multiply or
+    x^-1 y^-1 x y built from mul and inv; evaluate uses those where they are
+    None."""
 
     identity: object
     word: Callable[[Word], object]
@@ -536,11 +538,13 @@ def _product(mul, values: list):
 
 
 def evaluate(G: Group, expr: CommExpr):
-    """Value of an expression in G, computed from the values of its parts.
+    """Value of an expression in the Group G, computed from the values of its
+    parts.
 
     An i-fold commutator costs O(i) group operations, not its free word's
-    length.  A run of generator powers goes through G.word in one call, and
-    the values of a product's factors are multiplied in pairs.
+    length.  A run of generator powers goes through G.word in one call, the
+    values of a product's factors are multiplied in pairs, and a power or a
+    commutator takes G's own rule where it has one.
     """
     if isinstance(expr, Product):
         values, run = [], []
@@ -560,14 +564,12 @@ def evaluate(G: Group, expr: CommExpr):
     if syllable is not None:
         return G.word(Word.from_pairs((syllable,)))
     if isinstance(expr, Power):
-        # finite quotients are groups by duck typing, with no power field
-        pow_, x = getattr(G, "power", None), evaluate(G, expr.base)
-        return power(G, x, expr.exp) if pow_ is None else pow_(x, expr.exp)
+        x = evaluate(G, expr.base)
+        return power(G, x, expr.exp) if G.power is None else G.power(x, expr.exp)
     if isinstance(expr, Commutator):
-        comm = getattr(G, "commutator", None)
         x, y = evaluate(G, expr.left), evaluate(G, expr.right)
-        if comm is not None:
-            return comm(x, y)
+        if G.commutator is not None:
+            return G.commutator(x, y)
         return G.mul(G.mul(G.inv(x), G.inv(y)), G.mul(x, y))
     raise TypeError(f"not a CommExpr: {expr!r}")
 

@@ -277,7 +277,29 @@ def eager_normalize(p: BSParams, w: Word, max_bits: int = 1 << 40) -> BrittonNF:
 
 
 def eager_multiply(p: BSParams, x: BrittonNF, y: BrittonNF, max_bits: int = 1 << 40) -> BrittonNF:
-    return _eager_scan(p, x.r0, [list(entry) for entry in x.tail], y.to_word(), max_bits)
+    return _eager_scan(p, x.r0, [list(entry) for entry in x.tail], nf_to_word(y), max_bits)
+
+
+def nf_to_word(nf: BrittonNF) -> Word:
+    """The free word a^r0 t^e1 a^r1 ... t^ek a^rk that a normal form spells."""
+    pairs: list[tuple[str, int]] = [("a", nf.r0)]
+    for eps, r in nf.tail:
+        pairs.append(("t", eps))
+        pairs.append(("a", r))
+    return Word.from_pairs(pairs)
+
+
+def nf_is_valid(p: BSParams, nf: BrittonNF) -> bool:
+    """Structural check: residue ranges plus pinch-freeness."""
+    am, an = abs(p.m), abs(p.n)
+    for i, (eps, r) in enumerate(nf.tail):
+        if eps not in (-1, 1):
+            return False
+        if not 0 <= r < (am if eps == -1 else an):
+            return False
+        if r == 0 and i + 1 < len(nf.tail) and nf.tail[i + 1][0] == -eps:
+            return False
+    return True
 
 
 # The Z[1/n] arithmetic that bsgroups.affine's one Horner fold replaced:

@@ -129,6 +129,14 @@ def test_witness_member(capsys):
     code, out, _ = _run(capsys, ["witness", "member", "-m", "2", "-n", "4", "-s", "2", "a^2"])
     assert code == 0 and "[a^2, t] = a^2" in out
 
+    # [a^3, t] = a in BS(3, 4), though its free word is not a
+    argv = ["witness", "member", "-m", "3", "-n", "4", "-s", "2", "--json", "[a^3, t]"]
+    code, out, _ = _run(capsys, argv)
+    data = json.loads(out)
+    assert (code, data["target"], data["depth"], data["verified"]) == (0, "a^-3 t^-1 a^3 t", 2, True)
+    code, out, err = _run(capsys, ["witness", "member", "-m", "3", "-n", "4", "-s", "2", "a^2"])
+    assert (code, out, err) == (1, "", "error: unsupported target a^2; expected a\n")
+
 
 def test_witness_omega(capsys):
     code, out, _ = _run(capsys, ["witness", "omega", "-m", "2", "-n", "3"])

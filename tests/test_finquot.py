@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bsgroups.finquot as finquot
 from bsgroups.britton import BSParams, nf_equal
+from bsgroups.classify import json_fields
 from bsgroups.errors import DomainError
 from bsgroups.finquot import (
     Certificate,
@@ -28,7 +30,7 @@ from bsgroups.finquot import (
     quotient_family,
 )
 from bsgroups.intmath import prime_factors, valuation
-from bsgroups.words import Word, decimal, evaluate, level_sums, parse_expr, parse_word, power
+from bsgroups.words import Group, Word, decimal, evaluate, level_sums, parse_expr, parse_word, power
 
 from helpers import (
     assert_same_json,
@@ -469,10 +471,12 @@ def test_closed_form_image_matches_products(case):
 
 
 def test_quotients_are_groups_for_evaluate():
-    # each record is a words.Group: expressions evaluate in it directly
+    # a record is a fold, not a Group; wrapped in one with its product rule,
+    # it evaluates expressions to the images that fq_eval folds
     for q in (build_semidirect(2, 3, 1, 1, 3), build_wreath(2, 2, 2)):
+        G = Group(q.identity, lambda w, q=q: q.fold(*level_sums(w)), q.mul, q.inv)
         for text in ("[[a, t], t]", "(a^3 T)^5 [a^2, t^-1]", "T^7 a t^7"):
-            assert evaluate(q, parse_expr(text)) == fq_eval(q, parse_word(text)), text
+            assert evaluate(G, parse_expr(text)) == fq_eval(q, parse_word(text)), text
 
 
 def test_certify_examples():
@@ -512,6 +516,27 @@ def test_certificate_json_matches_hand_written_json():
         kinds.add(type(cert.quotient))
         assert_same_json(cert.to_json_dict(), reference_certificate_json(cert))
     assert kinds == {Semidirect, Wreath}
+
+
+def test_certificate_json_does_not_walk_the_word(monkeypatch):
+    # the JSON leaves the word out, so rendering it must not walk the word:
+    # every json_fields call, nested ones too, is counted
+    w = parse_word("(T [[a, t], t] t)^100001")
+    assert len(w.syllables) == 800_009
+    cert = certify_not_in_gamma(1, 3, w, 4)
+    calls = 0
+
+    def counting(x):
+        nonlocal calls
+        calls += 1
+        return json_fields(x)
+
+    monkeypatch.setitem(json_fields.__globals__, "json_fields", counting)  # its recursion
+    monkeypatch.setattr(finquot, "json_fields", counting)
+    d = cert.to_json_dict()
+    assert calls < 100
+    assert d["image"] == [4, 0]
+    assert_same_json(d, reference_certificate_json(cert))
 
 
 def test_certificate_text_matches_handler_text():

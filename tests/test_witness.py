@@ -136,6 +136,13 @@ def test_membership_witness_examples():
     d = w.to_json_dict()
     assert d == {"expr": "[a^2, t]", "target": "a^2", "depth": 2, "verified": True}
 
+    # the target is compared with a^d in the group and kept as given:
+    # [a^3, t] = a in BS(3, 4), and t a^4 T = a^2 in BS(2, 4)
+    w = gamma_membership_witness(BSParams(3, 4), parse_word("[a^3, t]"), 2)
+    assert str(w) == "[a^3, t] = a^-3 t^-1 a^3 t in BS(3,4); value lies in gamma_2 (verified)"
+    w = gamma_membership_witness(BSParams(2, 4), parse_word("t a^4 T"), 3)
+    assert w.target == parse_word("t a^4 T") and w.depth == 3
+
 
 def test_membership_witness_depth_scales():
     p = BSParams(3, 4)
@@ -150,8 +157,10 @@ def test_membership_witness_preconditions():
         gamma_membership_witness(BSParams(2, 3), parse_word("a"), 1)
     with pytest.raises(DomainError):
         gamma_membership_witness(BSParams(2, 5), parse_word("a"), 3)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^unsupported target a\^3; expected a\^2$"):
         gamma_membership_witness(BSParams(2, 4), parse_word("a^3"), 3)
+    with pytest.raises(DomainError, match=r"^unsupported target a\^2; expected a$"):
+        gamma_membership_witness(BSParams(3, 4), parse_word("a^2"), 2)
     with pytest.raises(DomainError):
         gamma_membership_witness(BSParams(-2, -1), parse_word("a"), 2)
 

@@ -19,13 +19,16 @@ Their lower central series have closed forms.  From gamma_2 on, every
 term lies in the abelian base: p^min(k, (i-1)v) Z_{p^k} for the semidirect
 product, v = v_p(u - 1), and the ideal (x - 1)^(i-1) of
 Z_{p^e}[x]/(x^{p^j} - 1) for the wreath product.  Membership in a term is
-decided by a Howell-form echelon over Z/p^e, so no element set is listed
-and the cost is polynomial in p^j, not in the group order.
+decided by forward elimination against an echelon basis, so no element set
+is listed and the cost is polynomial in p^j, not in the group order.  For
+e = 1 that basis is written down, the shifts (x - 1)^(i-1) x^c; only e >= 2
+needs a Howell form over Z/p^e.
 
 Since any homomorphism maps gamma_i into gamma_i, an image lying outside
 gamma_i(Q) certifies that the element lies outside gamma_i(G).
 certify_not_in_gamma searches a budgeted family of quotients, smallest
-first, for such a certificate.  A None result is inconclusive: it
+first, for such a certificate.  Each (m, n, budget) family is built and its
+relation checked once per process.  A None result is inconclusive: it
 never proves membership.
 """
 
@@ -302,14 +305,23 @@ def _wreath_terms(q: Wreath) -> tuple:
     the augmentation ideal (x - 1)B, and [gamma_i, G] = (x - 1) gamma_i.
     As a Z/p^e-module the ideal is spanned by the L cyclic shifts of
     (x - 1)^(i-1).  (x - 1)^L = x^L - 1 mod p, so (x - 1)^(eL) = 0 in B.
+
+    For e = 1, B = F_p[x]/((x - 1)^L), and the ideal has the basis
+    (x - 1)^(i-1) x^c, c = 0..L-i: no shift wraps, and each has its first
+    nonzero coefficient at column c.  Scaled by (-1)^(i-1) to pivot 1, they
+    are the rows _howell returns for these shifts, so only e >= 2 runs it.
     """
     L = q.p**q.j
     pe = q.p**q.e
     g = [1] + [0] * (L - 1)
     terms = []
-    for _ in range(q.e * L):
+    for i in range(2, q.e * L + 2):
         g = [(g[s - 1] - g[s]) % pe for s in range(L)]  # times (x - 1)
-        terms.append(_howell([g[L - s:] + g[:L - s] for s in range(L)], q.p, q.e))
+        if q.e == 1:
+            h = tuple(g if i % 2 else [-x % pe for x in g])  # (1 - x)^(i-1)
+            terms.append(tuple((c, 1, (0,) * c + h[:L - c]) for c in range(L - i + 1)))
+        else:
+            terms.append(_howell([g[L - s:] + g[:L - s] for s in range(L)], q.p, q.e))
         if not terms[-1]:
             break
     return tuple(terms)
@@ -430,6 +442,20 @@ def quotient_family(m: int, n: int, budget: SearchBudget = DEFAULT_BUDGET) -> li
     return out
 
 
+@lru_cache(maxsize=64)
+def _checked_family(m: int, n: int, budget: SearchBudget) -> tuple[FinQuot, ...]:
+    """quotient_family with the defining relation checked on every member.
+
+    A refused family raises before any member is used, and lru_cache keeps
+    no failed call, so only a fully checked family is ever cached.
+    """
+    family = tuple(quotient_family(m, n, budget))
+    for q in family:
+        if not bs_relation_holds(q, m, n):
+            raise VerificationError(f"family produced an invalid quotient {q.describe()}")
+    return family
+
+
 def certify_not_in_gamma(
     m: int,
     n: int,
@@ -445,11 +471,7 @@ def certify_not_in_gamma(
     if i < 2:
         raise DomainError("certification index must be >= 2")
     sums = level_sums(w)  # every image is a fold of these
-    for q in quotient_family(m, n, budget):
-        if not bs_relation_holds(q, m, n):
-            raise VerificationError(
-                f"family produced an invalid quotient {q.describe()}"
-            )
+    for q in _checked_family(m, n, budget):
         image = q.fold(*sums)
         if image == q.identity:
             continue

@@ -9,8 +9,18 @@ import re
 
 from bsgroups.affine import AffineElem, ZnElement, _pow
 from bsgroups.britton import BrittonNF, BSParams
-from bsgroups.errors import DomainError, ExponentCapExceeded, ParseError
-from bsgroups.finquot import FinQuot, Semidirect
+from bsgroups.errors import DomainError, ExponentCapExceeded, ParseError, VerificationError
+from bsgroups.finquot import (
+    DEFAULT_BUDGET,
+    Certificate,
+    FinQuot,
+    Semidirect,
+    Wreath,
+    _howell,
+    bs_relation_holds,
+    fq_gamma_series,
+    quotient_family,
+)
 from bsgroups.freeprod import BasisWord, FreeProdWord, _emit
 from bsgroups.words import (
     MAX_NESTING,
@@ -175,6 +185,40 @@ def brute_gamma_series(q: FinQuot) -> list[frozenset]:
         chain.append(nxt)
         current = nxt
     return chain
+
+
+def reference_wreath_terms(q: Wreath) -> tuple:
+    """gamma_i = (x - 1)^(i-1) B as the Howell form of the L cyclic shifts of
+    (x - 1)^(i-1), for every e: the oracle for finquot._wreath_terms, which
+    writes the e = 1 terms down in closed form."""
+    L, pe = q.p**q.j, q.p**q.e
+    g = [1] + [0] * (L - 1)
+    terms = []
+    for _ in range(q.e * L):
+        g = [(g[s - 1] - g[s]) % pe for s in range(L)]  # times (x - 1)
+        terms.append(_howell([g[L - s:] + g[:L - s] for s in range(L)], q.p, q.e))
+        if not terms[-1]:
+            break
+    return tuple(terms)
+
+
+def reference_certify(m: int, n: int, w: Word, i: int, budget=DEFAULT_BUDGET):
+    """certify_not_in_gamma as it searched before families were cached: a
+    fresh quotient_family per query and the relation checked on each quotient
+    it reaches.  The oracle for the search over the checked, cached family."""
+    if i < 2:
+        raise DomainError("certification index must be >= 2")
+    sums = level_sums(w)
+    for q in quotient_family(m, n, budget):
+        if not bs_relation_holds(q, m, n):
+            raise VerificationError(f"family produced an invalid quotient {q.describe()}")
+        image = q.fold(*sums)
+        if image == q.identity:
+            continue
+        chain = fq_gamma_series(q)
+        if not chain.contains(i, image):
+            return Certificate(m, n, w, q, image, i, tuple(chain.sizes))
+    return None
 
 
 def multiplicative_order(u: int, mod: int) -> int:
@@ -751,7 +795,7 @@ def reference_quotient_family(m: int, n: int, budget) -> list:
     family that compares exponents."""
     from math import gcd
 
-    from bsgroups.finquot import Wreath, _semidirect_primes
+    from bsgroups.finquot import _semidirect_primes
     from bsgroups.intmath import prime_factors, valuation
 
     d = gcd(abs(m), abs(n))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import bsgroups.finquot as finquot
 from bsgroups.britton import BSParams, nf_equal
 from bsgroups.classify import json_fields
-from bsgroups.errors import DomainError
+from bsgroups.errors import DomainError, VerificationError
 from bsgroups.finquot import (
     Certificate,
     SearchBudget,
@@ -35,6 +35,7 @@ from bsgroups.words import Group, Word, decimal, evaluate, level_sums, parse_exp
 from helpers import (
     assert_same_json,
     brute_gamma_series,
+    commutator,
     elements,
     generator_images,
     insert_relator,
@@ -43,7 +44,9 @@ from helpers import (
     rand_word,
     reference_certificate_json,
     reference_certificate_text,
+    reference_certify,
     reference_quotient_family,
+    reference_wreath_terms,
 )
 
 DEFAULT_ORDER_CAP = SearchBudget().order_cap
@@ -201,6 +204,40 @@ def test_large_wreath_chains_frozen():
     ]
 
 
+# Every e = 1 wreath that build_wreath admits: p^j in {2, 4, 8, 16, 3, 9, 5, 7}.
+E1_WREATHS = [Wreath(2, 1, j) for j in range(1, 5)] + [
+    Wreath(3, 1, 1), Wreath(3, 1, 2), Wreath(5, 1, 1), Wreath(7, 1, 1),
+]
+
+
+def test_e1_wreath_terms_are_the_howell_terms(monkeypatch):
+    for q in E1_WREATHS:
+        build_wreath(q.p, q.e, q.j)  # admitted
+        terms, want = finquot._wreath_terms(q), reference_wreath_terms(q)
+        assert len(terms) == len(want) == q.p**q.j, q.describe()
+        for got, ref in zip(terms, want):
+            assert got == ref and repr(got) == repr(ref), q.describe()
+    for p, j in ((2, 5), (3, 3), (5, 2), (7, 2), (11, 1)):  # and no others
+        with pytest.raises(DomainError, match="exceeds the construction cap"):
+            build_wreath(p, 1, j)
+    # e >= 2 chains are still Howell forms, term for term as before; e = 1
+    # writes its terms without one
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return _howell(*args)
+
+    monkeypatch.setattr(finquot, "_howell", counting)
+    for q in E1_WREATHS:
+        finquot._wreath_terms(q)
+    assert calls == 0
+    for q in (Wreath(2, 2, 3), Wreath(3, 2, 1), Wreath(2, 3, 1), Wreath(5, 2, 1)):
+        assert finquot._wreath_terms(q) == reference_wreath_terms(q), q.describe()
+    assert calls > 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from(((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))),
@@ -309,6 +346,85 @@ def test_certify_sums_the_levels_once(monkeypatch):
     searched = 0
     assert certify_not_in_gamma(1, 3, w, 5) is None
     assert searched == 1
+
+
+CACHED_GROUPS = ((1, 3), (1, 4), (2, 4), (2, -2), (4, 8), (5, 10))
+TIGHT_BUDGET = SearchBudget(k_max=2, j_max=2, order_cap=2_000)
+
+
+@st.composite
+def _certify_cases(draw):
+    """A group, a budget, an index and a word: a free word of up to six
+    syllables, nested in up to four commutators with t or a^m."""
+    m, n = draw(st.sampled_from(CACHED_GROUPS))
+    syllable = st.tuples(st.sampled_from("at"), st.integers(-4, 4).filter(bool))
+    w = Word.from_pairs(draw(st.lists(syllable, max_size=6)))
+    for _ in range(draw(st.integers(0, 4))):
+        x = parse_word("t") if draw(st.booleans()) else Word.from_pairs((("a", m),))
+        w = commutator(w, x)
+    budget = draw(st.sampled_from((SearchBudget(), TIGHT_BUDGET)))
+    return m, n, w, draw(st.integers(2, 6)), budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(_certify_cases())
+def test_cached_family_certifies_as_the_search_per_query(case):
+    m, n, w, i, budget = case
+    want = reference_certify(m, n, w, i, budget)
+    assert certify_not_in_gamma(m, n, w, i, budget) == want
+    assert certify_not_in_gamma(m, n, w, i, budget) == want  # from the warm cache
+
+
+def test_family_is_built_and_checked_once_per_group(monkeypatch):
+    finquot._checked_family.cache_clear()
+    built, checked = 0, 0
+
+    def counting_family(*args):
+        nonlocal built
+        built += 1
+        return quotient_family(*args)
+
+    def counting_relation(*args):
+        nonlocal checked
+        checked += 1
+        return bs_relation_holds(*args)
+
+    monkeypatch.setattr(finquot, "quotient_family", counting_family)
+    monkeypatch.setattr(finquot, "bs_relation_holds", counting_relation)
+    for text in ("a", "[[[[a, t], t], t], t]", "a^2", "[a, t]"):
+        certify_not_in_gamma(1, 3, parse_word(text), 5)
+    assert built == 1 and checked == len(quotient_family(1, 3)) == 18
+
+
+def test_refused_family_is_never_cached(monkeypatch):
+    finquot._checked_family.cache_clear()
+    family = quotient_family(1, 3)
+    refused = family[-1]  # "a" is certified by family[0]: the search never reaches it
+    monkeypatch.setattr(
+        finquot, "bs_relation_holds", lambda q, m, n: q != refused and bs_relation_holds(q, m, n)
+    )
+    for _ in range(3):
+        with pytest.raises(VerificationError, match=r"invalid quotient Z_\d+ x\|_3 Z_\d+"):
+            certify_not_in_gamma(1, 3, parse_word("a"), 2)
+    assert finquot._checked_family.cache_info().currsize == 0
+    monkeypatch.undo()
+    cert = certify_not_in_gamma(1, 3, parse_word("a"), 2)
+    assert cert == reference_certify(1, 3, parse_word("a"), 2)
+    assert cert.quotient == family[0]
+
+
+def test_two_budgets_keep_two_families():
+    finquot._checked_family.cache_clear()
+    w = parse_word("a^2")
+    tight = SearchBudget(k_max=1)
+    # a^2 lies outside gamma_3 only in Z_4 x|_3 Z_2, which needs k = 2
+    assert certify_not_in_gamma(1, 3, w, 3, tight) is None
+    cert = certify_not_in_gamma(1, 3, w, 3)
+    assert cert.quotient == Semidirect(2, 2, 1, 3)
+    assert certify_not_in_gamma(1, 3, w, 3, tight) is None
+    assert finquot._checked_family.cache_info().currsize == 2
+    assert finquot._checked_family(1, 3, tight) == tuple(quotient_family(1, 3, tight))
+    assert finquot._checked_family(1, 3, SearchBudget()) == tuple(quotient_family(1, 3))
 
 
 def test_relation_holds_across_family():

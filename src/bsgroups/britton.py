@@ -26,45 +26,67 @@ pairs: a reduced Word's syllables alternate, so after a leading a-syllable
 their exponents come in (t, a) pairs from one iterator; a normal form read
 forward is its r0, then its tail's (eps, r) entries as they stand; read as
 an inverse, a^-rk t^-ek ... t^-e1 a^-r0 is a^-rk, then the blocks
-(-e_i, -r_(i-1)) off the reversed tail. normalize is one word segment,
+(-e_i, -r_(i-1)) off the tail from its end. normalize is one word segment,
 nf_invert one inverse segment, nf_multiply x then y forward, and
 bs_group's commutator [x, y] = x^-1 y^-1 x y four segments from the
-identity: x and y inverse, then x and y forward. The scan builds its one
-stack from x: (0, r0) and then the tail as (eps, r) tuples, all
-canonical, and a block is one step: canonicalize the top, pop while it is
-(-sign e, 0), push the rest of t^e whole, add x to the new top. While the
-scan runs, the top lives in two locals and the list holds the entries below
-it, so a push appends the old top as one tuple. The top's carry waits in the
-entry below; every entry below a low-water mark lo stays canonical. A final
-top-down pass settles the deferred carries and stops at the first entry at
+identity: x and y inverse, then x and y forward.
+
+The stack holds (0, r0) and then the tail, as items: an entry (eps, r), or
+a run (eps, r, c) of c >= _RUN equal canonical entries; fewer are pushed as
+entries, as the t^e blocks of small |e| that most words hold would cost
+more as runs than they save. Sizes are counted in entries. A block is one
+step: canonicalize the top, pop while it is (-sign e, 0), push the rest of
+t^e, add x to the new top. While the scan runs, the top entry lives in two
+locals and the list holds the items below it. The top's carry waits in the
+item below; every item below a low-water mark lo stays canonical. A final
+top-down pass settles the deferred carries and stops at the first item at
 or below lo that passes on no carry. It meets no pinch: a carry from an
 upper neighbour of the other sign is a multiple of the entry's modulus
-(t a^{nq} = a^{mq} t), and an entry gets a new upper neighbour only as the top,
-where it is settled at once. Every step applies a relation and the result is
-canonical and pinch-free, so by uniqueness it is the same whenever carries
-settle. Only the bit cap can tell: a deferred sum holds up to one carry per
-step, so it may need up to 1 + bit_length(steps) bits more.
+(t a^{nq} = a^{mq} t), and an entry gets a new upper neighbour only as the
+top, where it is settled at once. Every step applies a relation and the
+result is canonical and pinch-free, so by uniqueness it is the same
+whenever carries settle. Only the bit cap can tell: a deferred sum holds up
+to one carry per step, so it may need up to 1 + bit_length(steps) bits
+more. The tail is built once at the end, a run by tuple repetition.
 
-Two kinds of input skip the per-block step. A forward segment is canonical
-and has no pinch, so once one of its blocks pushes, every later one pushes
-too, unchanged and with no carry: the scan settles the carries that wait
-below, checks the size with the rest of the segment, and copies the rest
-as it is. A product so costs its seam plus a copy, and so does each forward
-half of a commutator, whose scan holds x^-1 y^-1 x on its way: that prefix,
-which x^-1 y^-1 x y built from products never builds, must fit the size
-limit even where y would cancel it. And when a block t^s a^x with |s| = 1
-finds the canonicalized top equal to (s, x), x is canonical for s
-(0 <= x < |m| if s = -1, 0 <= x < |n| if s = +1), so this block and every
-equal one after it push (s, x) and leave the top as it is: a run of c
-copies is one extend of the stack, counted by comparing slices of the
-word's syllables at C speed. The scan looks for the run only when the entry
-below the top equals (s, x) as well, at a third copy, so the pairs of equal
-blocks that random words hold cost one comparison each. The test is on the
-block's own exponent: a t^{2s} block that pops once also ends with one t to
-push, but each further copy of it pushes two entries. Neither shortcut adds
-a carry or a step, so the cap slack above is unchanged. A run push, of a
-t^e block or of equal blocks, builds no temporary list: the stack is
-extended from itertools.repeat.
+Runs come from three places, each pushed in one step: the k - 1 entries
+(s, 0) that a t^e block leaves below its top; a run of equal blocks
+t^s a^x with |s| = 1, which, found at a third copy with the canonicalized
+top and the item below both equal to (s, x), push (s, x) and leave the top
+as it is, so c copies are counted in slices of the word's syllables at C
+speed; and a run of equal entries (eps, 0) at the end of an inverse's
+tail, counted the same way, whose blocks would each push one entry. Blocks read one at a time would be refused one past the size limit,
+so an inverse's run is cut there; a word's run of equal blocks names its
+whole size, as it always has.
+
+A run changes in O(1) steps. A pop takes one entry off it. A carry into a
+run in the scan splits its last entry off. A pinch chain down a run of
+(eps, 0) under a top (eps, v) that pinches with the next t pops one entry
+per level, and level i holds v (f/mod)^i, where mod is eps's modulus and f
+its carry factor: it goes on while mod divides the value, that is for
+1 + v_m1(v / mod) levels, where f/mod = g/m1 in lowest terms, so one pow
+crosses as many levels as that, k and the run allow; when |m| or |n| is 1,
+every level. A carry z into a run of entries x in the final pass repeats
+z -> x + f (z div mod), writing z in the rational base mod/f (Akiyama,
+Frougny & Sakarovitch, Israel J. Math. 168, 2008); for z = A + mod^h B
+with 0 <= A < mod^h, the first h residues are A's own and z after them is
+A's plus f^h B, so a long carry splits into halves (Brent & Zimmermann,
+Modern Computer Arithmetic, 2010, 1.7), or into pieces no larger than z,
+instead of one divmod per entry. The residues stop where the carry dies,
+and the rest of the run stays one item. The cap is checked on every value
+one step per entry would build: the levels of a chain grow or shrink with
+i, so the first past the cap is found by bisection, among the levels that
+bit lengths allow to fit, and the states of a split carry are bounded all
+at once by bit lengths, one step at a time near the cap.
+
+A forward segment is canonical and has no pinch, so once one of its blocks
+pushes, every later one pushes too, unchanged and with no carry: the scan
+settles the carries that wait below, checks the size with the rest of the
+segment, and copies the rest as it is. A product so costs its seam plus a
+copy, and so does each forward half of a commutator, whose scan holds
+x^-1 y^-1 x on its way: that prefix, which x^-1 y^-1 x y built from
+products never builds, must fit the size limit even where y would cancel
+it.
 
 bs_group's power of a^r is a^(re). Any other x^e is square-and-multiply,
 after one size check: when x x pops nothing at its seam, neither does any
@@ -75,12 +97,14 @@ power past the limit is refused before any squaring.
 
 from __future__ import annotations
 
-from itertools import chain, compress, count, islice, repeat, zip_longest
+from functools import partial
+from itertools import chain, compress, count, cycle, islice, repeat, zip_longest
 from math import gcd
-from operator import itemgetter, length_hint, ne, neg
+from operator import eq, itemgetter, length_hint, ne, neg
 from typing import NamedTuple
 
 from .errors import DomainError, ExponentCapExceeded
+from .intmath import valuation
 from .words import Group, Word, decimal, level_sums, power, resolve_max_bits
 from . import words
 from .words import _check_cap, _check_size
@@ -127,77 +151,241 @@ class BrittonNF(NamedTuple):
 
 _SIGN, _EXP = itemgetter(0), itemgetter(1)
 
+# Fewer than _RUN equal entries are pushed as entries: short runs, such as
+# the t^e blocks of small |e| that most words hold, would cost more as runs
+# than they save.  A carry through a run is converted by halves when it has
+# more bits than _BIG and reaches more than _LEAF entries; a half of at most
+# _LEAF entries takes one divmod per entry.
+_RUN, _LEAF, _BIG = 16, 32, 256
 
-def _carry_factors(m: int, n: int) -> tuple[int, int]:
-    """(fm, fn) with t^-1 a^(|m| q) = a^(fm q) t^-1 and t a^(|n| q) = a^(fn q) t."""
-    return (n if m > 0 else -n), (m if n > 0 else -m)
+
+def _moduli(m: int, n: int) -> tuple:
+    """(modulus, carry factor) of an entry, indexed by its sign.  As
+    t^-1 a^(|m| q) = a^(fm q) t^-1 and t a^(|n| q) = a^(fn q) t, an entry
+    (-1, r) reduces mod |m| and carries fm, and an entry (1, r), or (0, r0),
+    reduces mod |n| and carries fn."""
+    fm, fn = (n if m > 0 else -n), (m if n > 0 else -m)
+    return (abs(n), fn), (abs(n), fn), (abs(m), fm)
 
 
-def _settle(m: int, n: int, st: list, lo: int, cap: int) -> None:
-    """The final pass: settle the deferred carries from the top down."""
-    am, an = abs(m), abs(n)
-    fm, fn = _carry_factors(m, n)
-    carry = 0
+def _run(eps: int, r: int, c: int) -> tuple:
+    """c entries (eps, r) as stack items: one run, or c entries."""
+    return ((eps, r, c),) if c >= _RUN else ((eps, r),) * c
+
+
+def _pinch(st: list, run: tuple, q: int, k: int, mod: int, f: int, cap: int) -> tuple[int, int, int]:
+    """A pinch chain down a run (eps, 0, c), just taken off the stack, under
+    a top (eps, 0) that pinches with the next t and owes the run's last entry
+    the carry q f.  Level i pops one entry, whose value v_i = q f (f/mod)^(i-1)
+    becomes the top; it pinches again while k allows and mod | v_i, that is,
+    while m1^i divides q, where f/mod = g/m1 in lowest terms.  So one pow
+    crosses j = min(k, c, levels) entries.  Returns v_j, j and how many
+    fewer entries than items the stack holds now."""
+    eps, _, c = run
+    j, v = min(k, c), 0
+    if q:
+        d = gcd(mod, f)
+        m1, g = mod // d, f // d
+        if m1 > 1:
+            j = min(j, 1 + valuation(q, m1))
+        # |v_i| has at least bit_length(q f) + (i - 1) rise bits, so no
+        # level past the first one past the cap is built
+        rise = g.bit_length() - 1 - (m1.bit_length() if m1 > 1 else 0)
+        if rise > 0:
+            j = min(j, max(1, (cap - (q * f).bit_length()) // rise + 2))
+        v = q * f * g ** (j - 1) // m1 ** (j - 1)
+        if abs(g) > m1 and v.bit_length() > cap:
+            # |v_i| grows with i: report the first v_i past the cap
+            def level(i):
+                return (q * f * g ** (i - 1) // m1 ** (i - 1)).bit_length()
+
+            fits, past = 0, j
+            while past - fits > 1:
+                mid = (fits + past) // 2
+                fits, past = (fits, mid) if level(mid) > cap else (mid, past)
+            raise ExponentCapExceeded(level(past), cap)
+    rest = _run(eps, 0, c - j)
+    st += rest
+    return v, j, j - 1 + len(rest)
+
+
+def _safe_steps(z: int, left: int, mod: int, f: int, cap: int) -> int:
+    """How many of the next left states of a carry through a run a bound
+    keeps within the cap.  With 0 <= x < mod, z -> x + f (z div mod) never
+    takes |z| past max(|z|, 2 mod^2) + 2 mod when |f| <= mod, and multiplies
+    |z| + 2 |f| mod by at most |f|/mod a step otherwise, which adds fewer
+    than bit_length(f) - bit_length(mod) + 1 bits."""
+    if abs(f) <= mod:
+        return left if max(z.bit_length(), (2 * mod * mod).bit_length()) + 1 <= cap else 0
+    room = cap - 1 - (abs(z) + 2 * abs(f) * mod).bit_length()
+    return 0 if room < 0 else min(left, room // (f.bit_length() - mod.bit_length() + 1) + 1)
+
+
+def _convert(z: int, h: int, x: int, mod: int, f: int, out: list, last: bool) -> int:
+    """Append the residues of the next h entries x that a carry reaches to
+    out, and return z after them.  Each step is (q, residue) = divmod(z, mod)
+    and z = x + q f: z is written in the rational base mod/f.  For
+    z = A + mod^k B with 0 <= A < mod^k, the first k residues are A's own and
+    z after them is A's plus f^k B, so z splits into halves, and into pieces
+    of its own size where mod^(h/2) would be larger than z.  With last, a
+    carry that dies (z = x) leaves the rest of the run unwritten."""
+    while h:
+        q, d = divmod(z, mod)
+        if x + q * f == z:  # a fixed point: every residue is d
+            if z != x or not last:
+                out += repeat(d, h)
+            return z
+        k = min(h // 2, z.bit_length() // mod.bit_length())
+        if k < _LEAF:  # one divmod per entry, for up to _LEAF entries
+            for i in range(min(h, _LEAF)):
+                if z == x:
+                    if not last:
+                        out += repeat(x, h - i)
+                    return x
+                q, d = divmod(z, mod)
+                out.append(d)
+                z = x + q * f
+            h -= i + 1
+            continue
+        if mod & (mod - 1):
+            b, a = divmod(z, mod**k)
+        else:  # a power of two
+            s = k * (mod.bit_length() - 1)
+            b, a = z >> s, z & ((1 << s) - 1)
+        z, h = _convert(a, k, x, mod, f, out, False) + f**k * b, h - k
+    return z
+
+
+def _run_digits(z: int, c: int, x: int, mod: int, f: int, cap: int) -> tuple[list, int]:
+    """The new residues, top down, of a run of c entries x whose top entry
+    holds z = x + carry, and the carry out of the run.  The residues stop
+    where the carry dies, and the rest of the run keeps x.  Each state z is
+    checked against the cap, one at a time or, for a long conversion, all at
+    once by a bound."""
+    digits: list = []
+    while z != x and len(digits) < c:
+        left = c - len(digits)
+        if left > _LEAF and z.bit_length() > _BIG:
+            h = _safe_steps(z, left, mod, f, cap)
+            if h > _LEAF:
+                z = _convert(z, h, x, mod, f, digits, True)
+                continue
+        if z.bit_length() > cap:
+            raise ExponentCapExceeded(z.bit_length(), cap)
+        q, d = divmod(z, mod)
+        digits.append(d)
+        z = x + q * f
+    return digits, z - x
+
+
+def _settle(moduli: tuple, st: list, lo: int, cap: int) -> int:
+    """The final pass: settle the deferred carries from the top down.  A
+    carry into a run writes out the entries it reaches; returns how many
+    items that adds to the stack."""
+    carry = added = 0
     for i in range(len(st) - 1, 0, -1):
-        eps, r = st[i]
-        mod, f = (am, fm) if eps < 0 else (an, fn)
+        try:
+            eps, r = st[i]
+        except ValueError:  # a run
+            if carry:
+                eps, x, c = st[i]
+                mod, f = moduli[eps]
+                digits, carry = _run_digits(x + carry, c, x, mod, f, cap)
+                items = [*_run(eps, x, c - len(digits)), *zip(repeat(eps), reversed(digits))]
+                st[i : i + 1] = items
+                added += len(items) - 1
+            if carry == 0 and i <= lo:
+                return added
+            continue
+        mod, f = moduli[eps]
         q, rem = divmod(_check_cap(r + carry, cap) if carry else r, mod)
         if rem != r:
             st[i] = (eps, rem)
         carry = q * f
         if carry == 0 and i <= lo:
-            return
+            return added
     st[0] = (0, _check_cap(st[0][1] + carry, cap))
+    return added
 
 
-def _period_two_run(syl: tuple, j: int) -> int:
-    """How many syllables from syl[j] on equal the one two places before
-    them: counted at C speed in slices that double, so a run of c costs O(c)
-    and no run one short slice."""
-    c, h = 0, 8
+def _flatten(items: list) -> tuple:
+    """The tail that stack items stand for, runs (eps, r, c) among them."""
+    at = list(compress(count(), map(ne, map(len, items), repeat(2))))
+    if len(at) == 1:
+        eps, r, c = items[at[0]]
+        if items.count((eps, r)) == len(items) - 1:  # one repetition
+            return ((eps, r),) * (len(items) - 1 + c)
+    pieces, start = [], 0
+    for i in at:
+        eps, r, c = items[i]
+        pieces += items[start:i], repeat((eps, r), c)
+        start = i + 1
+    pieces.append(items[start:])
+    return tuple(chain.from_iterable(pieces))
+
+
+def _periodic_run(seq: tuple, j: int, period: int) -> int:
+    """How many items from seq[j] on equal the one period places before
+    them.  Such a run repeats seq[j - period : j]: each of its period lanes
+    holds one item, counted at C speed in slices that double, so a run of c
+    costs O(c) and no run one short slice."""
+    ref, c, h = seq[j - period : j], 0, 8
     while True:
-        part = syl[j + c : j + c + h]
-        before = syl[j + c - 2 : j + c - 2 + len(part)]
-        if part != before:
-            return c + next(compress(count(), map(ne, part, before)))
+        part = seq[j + c : j + c + h]  # c is a multiple of 8, so of period
+        if sum(part[i::period].count(v) for i, v in enumerate(ref)) < len(part):
+            return c + next(compress(count(), map(ne, part, cycle(ref))))
         c += len(part)
         if len(part) < h:
             return c
         h *= 2
 
 
-def _scan(p: BSParams, x: BrittonNF, segments, cap: int,
-          runs: tuple | None = None) -> BrittonNF:
+def _scan(p: BSParams, x: BrittonNF, segments, cap: int) -> BrittonNF:
     """The normal form of x followed by the segments.
 
-    A segment is a triple (x0, blocks, forward): a^x0, then the blocks t^e a^x
+    A segment is (x0, blocks, forward, more): a^x0, then the blocks t^e a^x
     that blocks yields as (e, x) pairs.  A forward segment iterates over a
     canonical tail: from its first block that pushes on, the rest of it is
-    copied as it is.  With runs = (syl, it), blocks are read from the
-    syllables syl that the iterator it yields, and a run of equal blocks is
-    pushed in one step.
+    copied as it is.  more(room), where not None, counts the blocks after
+    the one just read that equal it, and skips them; room is how many of
+    them fit the size limit.
     """
-    m, n = p
-    am, an = abs(m), abs(n)
-    fm, fn = _carry_factors(m, n)
+    moduli = _moduli(*p)
     st = [(0, x.r0), *x.tail]
-    lo = len(st)  # every entry of x is canonical
-    # The top entry lives in (eps, r) and st holds the entries below it, so
-    # the full stack is st + [(eps, r)] and its length is len(st) + 1.
+    lo = len(st)  # every item below index lo is canonical; lo may pass the top
+    # The top entry lives in (eps, r) and st holds the items below it, so the
+    # full stack is st + [(eps, r)].  An item is an entry (eps, r) or a run
+    # (eps, r, c) of c >= _RUN equal canonical entries; the tail below the
+    # top has len(st) + extra entries.
     eps, r = st.pop()
+    extra = 0
     limit = words._MAX_SYLLABLES
-    for x0, blocks, forward in segments:
+    for x0, blocks, forward, more in segments:
         r += x0
         if r.bit_length() > cap:
             raise ExponentCapExceeded(r.bit_length(), cap)
         for e, x in blocks:
             s, k = (1, e) if e > 0 else (-1, -e)
             while st:
-                # canonicalize the top only; its carry waits in the entry below
-                mod, f = (am, fm) if eps < 0 else (an, fn)
+                # canonicalize the top only; its carry waits in the item below
+                mod, f = moduli[eps]
                 if not 0 <= r < mod:
                     q, r = divmod(r, mod)
-                    below_eps, below_r = st[-1]
+                    try:
+                        below_eps, below_r = st[-1]
+                    except ValueError:  # a run
+                        below = st[-1]
+                        if not r and k and eps == -s and below[0] == eps and not below[1]:
+                            r, j, dropped = _pinch(st, st.pop(), q, k, mod, f, cap)
+                            k -= j
+                            extra -= dropped
+                            continue
+                        # the carry lands on the run's last entry: split it off
+                        below_eps, below_r, c = below
+                        rest = _run(below_eps, below_r, c - 1)
+                        st[-1:] = rest
+                        st.append(below)  # the slot of the entry written below
+                        extra -= len(rest)
                     below_r += q * f
                     if below_r.bit_length() > cap:
                         raise ExponentCapExceeded(below_r.bit_length(), cap)
@@ -206,25 +394,39 @@ def _scan(p: BSParams, x: BrittonNF, segments, cap: int,
                         lo = len(st) - 1 or 1  # st[0] is never settled
                 if not k or r or eps != -s:
                     break
-                eps, r = st.pop()
+                below = st.pop()
+                try:
+                    eps, r = below
+                except ValueError:  # a run
+                    if below[0] == eps and not below[1]:
+                        # (eps, 0) pinches on down the run
+                        r, j, dropped = _pinch(st, below, 0, k, mod, f, cap)
+                        k -= j
+                        extra -= dropped
+                        continue
+                    # its last entry becomes the top
+                    eps, r, c = below
+                    rest = _run(eps, r, c - 1)
+                    st += rest
+                    extra -= len(rest)
                 k -= 1
             if k:
-                if r == x and eps == e and st[-1] == (e, x) and runs:
+                if r == x and eps == e and st[-1] == (e, x) and more:
                     # a third copy of the block: e = +-1 and x is canonical, so
                     # it and the c - 1 equal blocks after it push (e, x) and
                     # leave the top as it is.  Kept apart from the push below,
                     # which then pays nothing for runs but the test above.
-                    syl, it = runs
-                    c = 1 + _period_two_run(syl, len(syl) - length_hint(it)) // 2
-                    size = len(st) + c
+                    c = 1 + more(limit - len(st) - extra - 1)
+                    size = len(st) + extra + c
                     if lo >= len(st):
                         lo = size + 1
                     if size > limit:
                         _check_size(size)
-                    st.extend(repeat((e, x), c))
-                    next(islice(it, 2 * c - 2, 2 * c - 2), None)  # skip the run
+                    rest = _run(e, x, c)
+                    st += rest
+                    extra += c - len(rest)
                     continue
-                size = len(st) + k  # the tail's length after the push
+                size = len(st) + extra + k  # the tail's length after the push
                 if forward:
                     size += length_hint(blocks)
                 if lo >= len(st):  # a push onto a clean stack keeps it clean
@@ -236,39 +438,77 @@ def _scan(p: BSParams, x: BrittonNF, segments, cap: int,
                     # (e, x) and the rest of the segment are canonical: settle
                     # the carries that wait below them, then copy them
                     if lo <= size:
-                        _settle(m, n, st, lo, cap)
+                        extra -= _settle(moduli, st, lo, cap)
                         lo = size + 1
                     st.append((e, x))
                     st.extend(blocks)
                     eps, r = st.pop()
                     break
                 if k > 1:
-                    st.extend(repeat((s, 0), k - 1))
+                    if k > _RUN:
+                        # the rest of t^e, k - 1 entries (s, 0), as one run
+                        st.append((s, 0, k - 1))
+                        extra += k - 2
+                    else:
+                        st.extend(repeat((s, 0), k - 1))
                 eps, r = s, 0
             r += x
             if r.bit_length() > cap:
                 raise ExponentCapExceeded(r.bit_length(), cap)
     st.append((eps, r))
-    _settle(m, n, st, lo, cap)
+    extra -= _settle(moduli, st, lo, cap)
     r0 = st[0][1]
     del st[0]
-    return BrittonNF(r0, tuple(st))  # the tail copied once
+    return BrittonNF(r0, _flatten(st) if extra else tuple(st))  # the tail built once
 
 
 def _forward(x: BrittonNF) -> tuple:
     """x as a segment: a^r0, then its canonical tail."""
-    return x.r0, iter(x.tail), True
+    return x.r0, iter(x.tail), True, None
 
 
 def _inverse(x: BrittonNF) -> tuple:
     """x^-1 = a^-rk t^-ek ... a^-r1 t^-e1 a^-r0 as a segment: a^-rk, then the
     blocks (-e_i, -r_(i-1)) read off the reversed tail."""
     if not x.tail:
-        return -x.r0, (), False
+        return -x.r0, (), False, None
     rev = x.tail[::-1]
-    es = map(neg, map(_SIGN, rev))
-    xs = map(neg, chain(map(_EXP, islice(rev, 1, None)), (x.r0,)))
-    return -rev[0][1], zip(es, xs), False
+    signs, exps, more = rev, islice(rev, 1, None), None
+    if len(rev) > _RUN:
+        # a run of _RUN entries (eps, 0) holds two equal marks in a row, one
+        # every _RUN // 2 entries: only then read through iterators that jump
+        marks = rev[_RUN // 2 - 1 :: _RUN // 2]
+        if 0 in map(_EXP, compress(marks, map(eq, marks, marks[1:]))):
+            signs, exps = iter(rev), iter(rev)
+            next(exps)
+            more = partial(_inverse_run, rev, signs, exps)
+    blocks = zip(map(neg, map(_SIGN, signs)), map(neg, chain(map(_EXP, exps), (x.r0,))))
+    return -rev[0][1], blocks, False, more
+
+
+def _inverse_run(rev: tuple, signs, exps, room: int) -> int:
+    """more() of an inverse segment.  The block just read is (E, 0), with
+    -E = rev[j - 1][0]: each entry (-E, 0) from rev[j] on gives one more,
+    but the last, whose a comes from the entry after it.  Blocks read one at
+    a time would be refused one past the size limit: those past room are
+    left to that, and so is a run shorter than _RUN."""
+    j = len(rev) - length_hint(signs)
+    v = rev[j - 1][0], 0
+    if j + _RUN > len(rev) or rev[j] != v or rev[j + _RUN - 1] != v:
+        return 0
+    c = max(0, min(room, _periodic_run(rev, j + 1, 1)))
+    signs.__setstate__(j + c)  # tuple iterators jump in O(1)
+    exps.__setstate__(j + c + 1)
+    return c
+
+
+def _word_run(syl: tuple, it, room: int) -> int:
+    """more() of a word segment: a run of equal blocks is pushed whole,
+    past room or not."""
+    j = len(syl) - length_hint(it)
+    c = _periodic_run(syl, j, 2) // 2
+    it.__setstate__(j + 2 * c)
+    return c
 
 
 _ONE = BrittonNF()
@@ -284,8 +524,8 @@ def normalize(p: BSParams, w: Word, max_bits: int | None = None) -> BrittonNF:
     it = iter(syl)
     x0 = next(it)[1] if syl and syl[0][0] == "a" else 0
     exps = map(_EXP, it)
-    return _scan(p, _ONE, ((x0, zip_longest(exps, exps, fillvalue=0), False),),
-                 resolve_max_bits(max_bits), runs=(syl, it))
+    return _scan(p, _ONE, ((x0, zip_longest(exps, exps, fillvalue=0), False, partial(_word_run, syl, it)),),
+                 resolve_max_bits(max_bits))
 
 
 def nf_multiply(p: BSParams, x: BrittonNF, y: BrittonNF, max_bits: int | None = None) -> BrittonNF:
@@ -295,7 +535,8 @@ def nf_multiply(p: BSParams, x: BrittonNF, y: BrittonNF, max_bits: int | None = 
 
 
 def nf_invert(p: BSParams, x: BrittonNF, max_bits: int | None = None) -> BrittonNF:
-    """The inverse of a canonical form, scanned block by block."""
+    """The inverse of a canonical form, scanned block by block, and a run of
+    equal entries (eps, 0) in one step."""
     return _scan(p, _ONE, (_inverse(x),), resolve_max_bits(max_bits))
 
 

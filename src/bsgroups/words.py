@@ -23,13 +23,15 @@ the group as one free word, and the values of a product's factors are
 multiplied in pairs, level by level, so no product copies a long prefix once
 per factor.  In the free group a value carries its inverse, so a bracket
 costs copies of the halves it joins, not work per syllable; parse_word
-returns the word half, and neither a flat text nor a power at the top of a
-text builds the inverse.  A Group may bring its own power: the free group's
-writes w = u c u^-1 with c cyclically reduced, so w^e = u c^e u^-1 and c^e
-is one tuple repetition of c, its size checked before it is built; any other
-group takes power(), square-and-multiply.  A Group may bring its own
-commutator too, as Britton normal forms do with one scan of x^-1 y^-1 x y;
-any other group builds [x, y] from two inverses and three products.
+returns the word half, and neither a flat text nor a power or a commutator
+at the top of a text builds the inverse.  A Group may bring its own power:
+the free group's writes w = u c u^-1 with c cyclically reduced, so
+w^e = u c^e u^-1 and c^e is one tuple repetition of c, its size checked
+before it is built; any other group takes power(), square-and-multiply.  A
+Group may bring its own commutator too: Britton normal forms scan
+x^-1 y^-1 x y once, and the free group reads the seams of x^-1 y^-1, x y
+and their product off the halves of x and y and builds only the halves of
+[x, y]; any other group builds [x, y] from two inverses and three products.
 
 A word's a-exponent sum at each t-level (level_sums) is all that its image
 in a metabelian group needs: the abelianization, the affine model of
@@ -430,7 +432,8 @@ def free_group(cap: int) -> Group:
     """Free group on a, t with bit-capped exponents.  An element is the pair
     (w, w^-1) of reduced Words, so inverting swaps the halves and no
     commutator, conjugate or negative power reverses a long word: every
-    product is tuple slicing and concatenation."""
+    product is tuple slicing and concatenation, and a commutator builds its
+    two halves and nothing else."""
     values: dict[Word, tuple[Word, Word]] = {}
 
     def word(w: Word) -> tuple[Word, Word]:
@@ -442,17 +445,11 @@ def free_group(cap: int) -> Group:
         return value
 
     def mul(x: tuple[Word, Word], y: tuple[Word, Word]) -> tuple[Word, Word]:
-        # both factors are reduced, so they cancel or merge only at the seam;
-        # y^-1 x^-1 cancels the mirror image of that seam
+        # y^-1 x^-1 cancels the mirror image of the seam of x y
         xs, ys = x[0].syllables, y[0].syllables
-        k, i, seam, mirror = len(xs), 0, (), ()
-        while not seam and k and i < len(ys) and xs[k - 1][0] == ys[i][0]:
-            k, i = k - 1, i + 1
-            e = xs[k][1] + ys[i - 1][1]
-            if e:
-                g = ys[i - 1][0]
-                seam, mirror = ((g, _check_cap(e, cap)),), ((g, -e),)
+        k, i, seam = _seam(xs, ys, cap)
         _check_size(k + len(seam) + len(ys) - i)
+        mirror = _mirror(seam)
         return (
             Word(xs[:k] + seam + ys[i:]),
             Word(y[1].syllables[: len(ys) - i] + mirror + x[1].syllables[len(xs) - k :]),
@@ -464,7 +461,74 @@ def free_group(cap: int) -> Group:
     def pow_(x: tuple[Word, Word], e: int) -> tuple[Word, Word]:
         return _power_word(x, e, cap), _power_word(x, -e, cap)
 
-    return Group((Word(), Word()), word, mul, inv, pow_)
+    def commutator(x: tuple[Word, Word], y: tuple[Word, Word]) -> tuple[Word, Word]:
+        return _commutator(x, y, cap)
+
+    return Group((Word(), Word()), word, mul, inv, pow_, commutator)
+
+
+def _seam(xs, ys, cap: int) -> tuple[int, int, tuple]:
+    """Where the product of reduced words xs and ys cancels or merges: it
+    keeps xs[:k] and ys[i:], and seam is the merged syllable between them,
+    if any."""
+    k, i, seam = len(xs), 0, ()
+    while not seam and k and i < len(ys) and xs[k - 1][0] == ys[i][0]:
+        k, i = k - 1, i + 1
+        e = xs[k][1] + ys[i - 1][1]
+        if e:
+            seam = ((ys[i - 1][0], _check_cap(e, cap)),)
+    return k, i, seam
+
+
+def _cut(word: tuple, start: int, stop: int) -> tuple:
+    """Syllables start to stop of the word that word = (p, k, s, q, i) stands
+    for, p[:k] s q[i:] with s of at most one syllable, joined from slices."""
+    p, k, s, q, i = word
+    n = k + len(s)
+    mid = s if start <= k < stop else ()
+    tail = q[i + max(start - n, 0) : i + stop - n] if stop > n else ()
+    return p[start : min(stop, k)] + (mid + tail)
+
+
+def _commutator(x: tuple[Word, Word], y: tuple[Word, Word], cap: int, both: bool = True):
+    """[x, y] = (x^-1 y^-1)(x y), the association evaluate builds it in, for
+    free-group values x = (u, u^-1) and y = (v, v^-1).  The seams of the two
+    products and of their product are read off the halves of x and y, with
+    the cap and size checks of those three products in their order, and only
+    the halves of [x, y] are built, or with both false its word alone."""
+    xs, xi = x[0].syllables, x[1].syllables
+    ys, yi = y[0].syllables, y[1].syllables
+    k1, i1, s1 = _seam(xi, yi, cap)
+    a = xi, k1, s1, yi, i1  # x^-1 y^-1 as _cut reads it
+    la = k1 + len(s1) + len(yi) - i1
+    _check_size(la)
+    k2, i2, s2 = _seam(xs, ys, cap)
+    b = xs, k2, s2, ys, i2  # x y
+    lb = k2 + len(s2) + len(ys) - i2
+    _check_size(lb)
+    # the seam of their product: none where the syllables that meet there
+    # are on two generators, else read from windows at the ends that double
+    # until the walk stops inside them
+    c, seam = 0, ()
+    if la and lb:
+        last = yi[-1] if i1 < len(yi) else s1[0] if s1 else xi[k1 - 1]
+        first = xs[0] if k2 else s2[0] if s2 else ys[i2]
+        n = 2 if last[0] == first[0] else 0
+        while n:
+            k, c, seam = _seam(_cut(a, max(la - n, 0), la), _cut(b, 0, n), cap)
+            n = 0 if seam or not (k == 0 < la - n or c == n < lb) else 2 * n
+    _check_size(la - c + len(seam) + lb - c)
+    w = Word(_cut(a, 0, la - c) + (seam + _cut(b, c, lb)))
+    if not both:
+        return w
+    # [x, y]^-1 = (y^-1 x^-1)(y x) cancels the mirror images of the seams
+    bi = yi, len(yi) - i2, _mirror(s2), xi, len(xi) - k2
+    ai = ys, len(ys) - i1, _mirror(s1), xs, len(xs) - k1
+    return w, Word(_cut(bi, 0, lb - c) + (_mirror(seam) + _cut(ai, c, la)))
+
+
+def _mirror(seam: tuple) -> tuple:
+    return ((seam[0][0], -seam[0][1]),) if seam else ()
 
 
 def _power_word(x: tuple[Word, Word], e: int, cap: int) -> Word:
@@ -608,7 +672,8 @@ def evaluate_text(G: Group, text: str, max_bits: int | None = None):
 def parse_word(text: str, max_bits: int | None = None) -> Word:
     """evaluate_text in the free group, as a Word; handy for the library and
     tests.  A flat text is read to its Word alone, and a top-level power of
-    anything but a generator to its word half: neither builds an inverse."""
+    anything but a generator, or a top-level commutator, to its word half:
+    none of them builds an inverse."""
     cap = resolve_max_bits(max_bits)
     w = _flat_word(text, cap)
     if w is not None:
@@ -616,6 +681,8 @@ def parse_word(text: str, max_bits: int | None = None) -> Word:
     expr, F = parse_expr(text, cap), free_group(cap)
     if isinstance(expr, Power) and _syllable(expr) is None:
         return _power_word(evaluate(F, expr.base), expr.exp, cap)
+    if isinstance(expr, Commutator):
+        return _commutator(evaluate(F, expr.left), evaluate(F, expr.right), cap, both=False)
     return evaluate(F, expr)[0]
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -456,3 +457,268 @@ def test_group_power_and_commutator_refusals(monkeypatch):
     assert G.power(BrittonNF(3), 85) == BrittonNF(255)
     with pytest.raises(ExponentCapExceeded, match="^exponent needs 9 bits, cap is 8$"):
         G.power(BrittonNF(3), -86)
+
+
+# The run stack: a run of britton._RUN or more equal canonical entries is one
+# stack item, so a t^e block, a run of equal blocks and a run read off an
+# inverse's tail push in one step, a pinch chain pops down a run in one pow,
+# and a carry into a run is written out as its digits in the rational base
+# mod/f by halves.
+
+RUN_GROUPS = [BSParams(1, 3), BSParams(2, 4), BSParams(3, -2), BSParams(-2, 3)]
+
+
+@st.composite
+def run_words(draw, p):
+    """t^L a^x, (t^+-1 a^r)^N and T^k a^x t^k' pieces, with carries of up
+    to about 700 bits."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        L, s = draw(st.integers(1, 300)), draw(st.sampled_from((1, -1)))
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            x = draw(st.one_of(st.integers(-1000, 1000), st.integers(-(2**700), 2**700),
+                               st.just(abs(p.n) ** L - 1), st.just(-abs(p.m) ** L)))
+            pairs += [("t", s * L), ("a", x)]
+        elif kind == 1:
+            pairs += [("t", s), ("a", draw(st.integers(-4, 6)))] * L
+        else:
+            base = draw(st.sampled_from((abs(p.m), abs(p.n), abs(p.m * p.n))))
+            x = draw(st.one_of(st.integers(-9, 9), st.integers(0, L).map(lambda j: base**j)))
+            pairs += [("t", -s * L), ("a", x), ("t", s * max(1, L + draw(st.integers(-3, 3))))]
+    return Word.from_pairs(pairs)
+
+
+def _assert_matches_eager(p, u, v):
+    x, y = normalize(p, u), normalize(p, v)
+    assert x == eager_normalize(p, u) and nf_is_valid(p, x)
+    assert type(x.tail) is tuple and all(type(e) is tuple and len(e) == 2 for e in x.tail)
+    assert nf_invert(p, x) == eager_normalize(p, u.inverse())
+    assert nf_multiply(p, x, y) == eager_multiply(p, x, y)
+    assert nf_multiply(p, x, nf_invert(p, x)).is_identity
+    assert bs_group(p).commutator(x, y) == eager_normalize(p, commutator(u, v))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(RUN_GROUPS).flatmap(lambda p: st.tuples(st.just(p), run_words(p), run_words(p))))
+def test_run_stack_matches_eager_oracle(puv):
+    _assert_matches_eager(*puv)
+
+
+@pytest.mark.parametrize("p", RUN_GROUPS)
+def test_long_runs_match_eager_oracle(p):
+    # runs and carries past the sizes at which a carry is converted by halves
+    L = 400
+    am, an = abs(p.m), abs(p.n)
+    pieces = [
+        [("t", L), ("a", an**L - 1)],
+        [("t", -L), ("a", am**L - 1)],
+        [("t", L), ("a", -1)],
+        [("t", -L), ("a", 1), ("t", L)],
+        [("t", L), ("a", 1), ("t", -L)],
+        [("t", -L), ("a", am ** (L // 2)), ("t", L)],
+        [("t", 1), ("a", 2)] * L,
+        [("t", -1), ("a", -1)] * L,
+        [("t", L // 2), ("a", 3**700 + 1), ("t", L // 2), ("a", -(2**900))],
+        # a pinch pops onto a run of (-1, 1): its carry splits the run, as
+        # the run is no chain of (-1, 0)
+        [("t", -1), ("a", 1)] * L + [("t", -1), ("a", 2), ("t", 2)],
+    ]
+    words = [Word.from_pairs(w) for w in pieces]
+    for u, v in zip(words, words[1:] + words[:1]):
+        _assert_matches_eager(p, u, v)
+
+
+@pytest.mark.parametrize("p", [BSParams(10**20 + 1, 10**20), BSParams(10**20, -(10**20 + 1)),
+                               BSParams(10**400, 3), BSParams(-3, 10**400)])
+def test_run_carries_at_extreme_ratios_match_eager_oracle(p, monkeypatch):
+    # |f|/mod just off 1, or past the range of a float: the steps a long
+    # carry may take under the cap are bounded by bit lengths, and a carry
+    # is split into pieces no larger than itself
+    split = []
+    convert = britton._convert
+
+    def recording(z, *args):
+        split.append(z.bit_length())
+        return convert(z, *args)
+
+    monkeypatch.setattr(britton, "_convert", recording)
+    near_one = abs(p.m).bit_length() == abs(p.n).bit_length()
+    for L, X in [(100, 2**300), (-100, 2**300), (400, 2**3000 + 5), (-400, -(3**2000))] + [
+            (20000, -(3**3000)), (-20000, 3**3000)] * near_one:
+        u = Word.from_pairs([("t", L), ("a", X)])
+        x = normalize(p, u)
+        assert x == eager_normalize(p, u)
+        assert nf_invert(p, x) == eager_normalize(p, u.inverse())
+    assert split and max(split) <= 3**3000 .bit_length() + 1
+
+
+@pytest.mark.parametrize("n, cap", [(10**30, 5000), (10**1000, 5000), (10**1000, 10**6)],
+                         ids=["1e30-5000", "1e1000-5000", "1e1000-1000000"])
+def test_pinch_chains_with_a_large_base_stop_at_the_cap(n, cap):
+    # In BS(1, n), T^k a t^k pinches at every level, and level i holds n^i.
+    # The bit length of n bounds how many levels can fit the cap, so no
+    # power past the first level past it is built, however long the chain.
+    k = 10**6
+    first = n
+    while first.bit_length() <= cap:
+        first *= n
+    w = Word((("t", -k), ("a", 1), ("t", k)))
+    start = time.perf_counter()
+    with pytest.raises(ExponentCapExceeded,
+                       match=f"^exponent needs {first.bit_length()} bits, cap is {cap}$"):
+        normalize(BSParams(1, n), w, cap)
+    assert time.perf_counter() - start < 2
+
+
+def test_run_work_does_not_grow_with_the_run(monkeypatch):
+    # counted like test_scan_work_is_linear: a pinch chain down the run of
+    # T^k crosses it in one pow, and an inverse reads the run of t^L in one
+    # step
+    calls = 0
+
+    def counting(e, d):
+        nonlocal calls
+        calls += 1
+        return divmod(e, d)
+
+    monkeypatch.setattr(britton, "divmod", counting, raising=False)
+    counts = []
+    for k in (100, 1000, 100000):
+        calls = 0
+        assert normalize(BSParams(1, 3), Word((("t", -k), ("a", 1), ("t", k)))) == BrittonNF(3**k)
+        counts.append(calls)
+    assert counts == [counts[0]] * 3
+    # a carry that dies in a run leaves the rest of it as it is, and the
+    # final pass stops there, above the 6000 entries below the run
+    p = BSParams(2, 3)
+    calls = 0
+    nf = normalize(p, parse_word("(t a t a^2)^3000 t^100 a^5"))
+    assert calls <= 10 and nf.tail[-100:] == ((1, 0),) * 98 + ((1, 2), (1, 2))
+    # an inverse's blocks come from one zip: count those the scan reads
+    reads = 0
+
+    def counting_zip(*its):
+        nonlocal reads
+        for block in zip(*its):
+            reads += 1
+            yield block
+
+    monkeypatch.setattr(britton, "zip", counting_zip, raising=False)
+    counts = []
+    for L in (100, 1000, 100000):
+        x = normalize(p, Word((("t", L),)))
+        calls = reads = 0
+        assert nf_invert(p, x) == BrittonNF(0, ((-1, 0),) * L)
+        counts.append((calls, reads))
+    assert counts == [counts[0]] * 3 and counts[0][1] < 10
+
+
+@st.composite
+def short_run_words(draw):
+    """Words of short runs, for scans whose runs start at a few entries."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        s, r = draw(st.sampled_from((1, -1))), draw(st.integers(-3, 3))
+        pairs += draw(st.one_of(
+            st.integers(3, 8).map(lambda N: [("t", s), ("a", r)] * N),
+            st.integers(1, 8).map(lambda k: [("t", -s * k), ("a", r), ("t", s * (k + 1))]),
+            st.tuples(st.integers(-3, 3).filter(bool), st.integers(-9, 9)).map(
+                lambda ex: [("t", ex[0]), ("a", ex[1])]),
+        ))
+    return Word.from_pairs(pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RUN_GROUPS + [BSParams(-3, 1), BSParams(2, -3)]), short_run_words(),
+       st.integers(2, 4))
+# t^5 pinches down to a run of (-1, 1) and pops one of its entries, before
+# T^20 pushes up to the longest prefix
+@example(BSParams(-3, 1), Word.from_pairs(
+    [("t", -1), ("a", -2)] * 3 + [("t", -1), ("a", -5)] + [("t", -1), ("a", 1)] * 5
+    + [("t", -1), ("a", -6), ("t", 5), ("a", 1), ("t", -20)]), 2)
+def test_run_sizes_are_counted_in_entries(p, w, shortest):
+    # With runs from a few entries on, every tail the scan checks against
+    # the size limit is the normal form of a prefix of w that ends in a
+    # t-syllable: w passes a limit of the longest of them, and not one less.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(britton, "_RUN", shortest)
+        syl = w.syllables
+        top = max((len(normalize(p, Word(syl[: i + 1])).tail)
+                   for i, (g, _) in enumerate(syl) if g == "t"), default=0)
+        mp.setattr("bsgroups.words._MAX_SYLLABLES", top)
+        assert normalize(p, w) == eager_normalize(p, w)
+        if top:
+            mp.setattr("bsgroups.words._MAX_SYLLABLES", top - 1)
+            with pytest.raises(WordSizeExceeded, match=" syllables, limit "):
+                normalize(p, w)
+
+
+def _first_past(values, cap):
+    """The outcome of checking values in order against the cap."""
+    for v in values:
+        if v.bit_length() > cap:
+            return f"exponent needs {v.bit_length()} bits, cap is {cap}"
+    return None
+
+
+def _outcome_text(f):
+    try:
+        f()
+    except ExponentCapExceeded as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 3), (2, 4), (-2, 3), (3, 2)])
+def test_pinch_chains_meet_the_cap_at_the_first_level(m, n):
+    # T^k a^x t^k with x = |m|^k pinches at every level: level j holds
+    # x (f/|m|)^j, and the first of them past the cap is the one refused
+    k = 150
+    x = abs(m) ** k
+    f = n if m > 0 else -n
+    levels = [x * f**j // abs(m) ** j for j in range(k + 1)]
+    w = Word((("t", -k), ("a", x), ("t", k)))
+    top = max(v.bit_length() for v in levels)
+    for cap in range(max(1, x.bit_length() - 2), top + 2):
+        assert _outcome_text(lambda: normalize(BSParams(m, n), w, cap)) == _first_past(levels, cap)
+    assert normalize(BSParams(m, n), w, top) == BrittonNF(levels[-1])
+
+
+@pytest.mark.parametrize("m, n, s", [(3, 2, 1), (2, 3, 1), (2, 3, -1), (-2, 3, -1), (2, -2, 1), (1, 2, 1)])
+def test_run_carries_meet_the_cap_at_the_first_state(m, n, s):
+    # t^(sL) a^X settles the top, then carries through L - 1 entries (s, 0):
+    # z -> f (z div mod), each state checked, one divmod per entry or by
+    # halves under a bound
+    L, X = 300, 3**400 + 12345
+    mod = abs(n) if s > 0 else abs(m)
+    f = (m if n > 0 else -m) if s > 0 else (n if m > 0 else -n)
+    states, z = [X], f * (X // mod)
+    for _ in range(L - 1):
+        if not z:
+            break
+        states.append(z)
+        z = f * (z // mod)
+    states.append(z)  # the carry into r0
+    w = Word((("t", s * L), ("a", X)))
+    want = eager_normalize(BSParams(m, n), w)
+    top = max(v.bit_length() for v in states)
+    for cap in range(X.bit_length() - 1, top + 2):
+        got = _outcome_text(lambda: normalize(BSParams(m, n), w, cap))
+        assert got == _first_past(states, cap), cap
+    assert normalize(BSParams(m, n), w, top) == want
+
+
+def test_inverse_runs_are_refused_as_block_by_block(monkeypatch):
+    # an inverse's run is pushed whole, but refused where blocks pushed one
+    # at a time would be, one past the limit; a word's run of equal blocks
+    # names its whole size, as before
+    monkeypatch.setattr("bsgroups.words._MAX_SYLLABLES", 1000)
+    p = BSParams(2, 3)
+    G = bs_group(p)
+    x = normalize(p, parse_word("t^600"))
+    with pytest.raises(WordSizeExceeded, match="^word would reach 1001 syllables, limit 1000$"):
+        G.commutator(x, x)
+    assert nf_invert(p, normalize(p, parse_word("t^1000"))).tail == ((-1, 0),) * 1000
+    with pytest.raises(WordSizeExceeded, match="^word would reach 1200 syllables, limit 1000$"):
+        normalize(p, parse_word("t^600 " + "t a " * 600))

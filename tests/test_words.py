@@ -631,6 +631,50 @@ def test_free_values_are_the_word_and_its_inverse(expr, cap):
     assert _free_outcome(free_group(cap), expr) == want
 
 
+def _sized_outcome(f):
+    try:
+        return f()
+    except (ExponentCapExceeded, WordSizeExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def _related_words(draw):
+    """Two words made of the same few pieces and their inverses, so that
+    x^-1 y^-1, x y and their product cancel and merge deep into them."""
+    pieces = [Word.from_pairs(draw(st.lists(_syllable, min_size=2, max_size=12))) for _ in range(3)]
+    pieces += [w.inverse() for w in pieces]
+    words = [reduce(Word.__mul__, draw(st.lists(st.sampled_from(pieces), min_size=1, max_size=4)))
+             for _ in range(2)]
+    return tuple(words)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_related_words(), st.sampled_from((1, 2, 3, 64)))
+@example((Word((("a", 1),)), parse_word("[a, t]")), 1)  # a a never merges
+def test_free_commutator_refuses_as_three_products(uv, cap):
+    # [x, y] is read off the halves of x and y with the checks of x^-1 y^-1,
+    # x y and their product, in that order: the same pair, or the same
+    # refusal, as those three products in the Word-valued free group, at a
+    # size limit that these words often pass
+    u, v = uv
+    R = reference_free_group(cap)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("bsgroups.words._MAX_SYLLABLES", 40)
+        want = _sized_outcome(lambda: R.mul(R.mul(u.inverse(), v.inverse()), R.mul(u, v)))
+        got = _sized_outcome(lambda: free_group(cap).commutator((u, u.inverse()), (v, v.inverse())))
+    assert got == ((want, want.inverse()) if isinstance(want, Word) else want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs, _exprs, st.integers(1, 12))
+def test_parse_word_of_a_commutator_is_its_word_half(left, right, cap):
+    # the same Word as the free group's value of the text, or the same error
+    text = pretty_print(Commutator(left, right))
+    want = _outcome(lambda s, c: evaluate(free_group(c), parse_expr(s, c))[0], text, cap)
+    assert _outcome(parse_word, text, cap) == want
+
+
 def test_free_values_invert_no_long_word(monkeypatch):
     # Work, not time: every bracket joins the halves of pairs, so only the
     # generator runs are inverted, each once per group.

@@ -97,7 +97,7 @@ power past the limit is refused before any squaring.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from itertools import chain, compress, count, cycle, islice, repeat, zip_longest
 from math import gcd
 from operator import eq, itemgetter, length_hint, ne, neg
@@ -107,7 +107,7 @@ from .errors import DomainError, ExponentCapExceeded
 from .intmath import valuation
 from .words import Group, Word, decimal, level_sums, power, resolve_max_bits
 from . import words
-from .words import _check_cap, _check_size
+from .words import _check_cap, _check_size, _power_exponent
 
 
 class BSParams(NamedTuple("BSParams", [("m", int), ("n", int)])):
@@ -554,25 +554,17 @@ def bs_group(p: BSParams, max_bits: int | None = None) -> Group:
     the limit: if x x pops nothing at its seam, x^e has |e| times x's tail.
     """
     cap = resolve_max_bits(max_bits)
-    values: dict[Word, BrittonNF] = {}
 
+    @cache
     def word(w: Word) -> BrittonNF:
-        value = values.get(w)
-        if value is None:
-            value = values[w] = normalize(p, w, cap)
-        return value
+        return normalize(p, w, cap)
 
     def commutator(x: BrittonNF, y: BrittonNF) -> BrittonNF:
         return _scan(p, _ONE, (_inverse(x), _inverse(y), _forward(x), _forward(y)), cap)
 
     def pow_(x: BrittonNF, e: int) -> BrittonNF:
         if not x.tail:
-            # square-and-multiply grows the exponent by at most one bit a
-            # step, so it stops at cap + 1 bits: report what it reports
-            r = x.r0 * e
-            if r.bit_length() > cap:
-                raise ExponentCapExceeded(cap + 1, cap)
-            return BrittonNF(r)
+            return BrittonNF(_power_exponent(x.r0, e, cap))
         if e < 0:
             x, e = G.inv(x), -e
         # the last entry of x^j is x's own, so every seam of x^j with x

@@ -203,12 +203,11 @@ def classify(m: int, n: int) -> ClassReport:
     rf = cm == 1 or abs(cn) == cm
     rp = _residually_p(cm, cn)
     rn = (cm == 1 and cn != 2) or (abs(cn) == cm > 1 and prime_power(cm) is not None)
-    rtfn = (cm, cn) == (1, 1)
-    abelian = (cm, cn) == (1, 1)
+    rtfn = abelian = (cm, cn) == (1, 1)
 
-    if (cm, cn) == (1, 1) or cn == cm + 1:
+    if abelian or cn == cm + 1:
         lcs = "2"
-    elif rn and not abelian:
+    elif rn:
         lcs = "omega"
     else:
         lcs = "unknown"

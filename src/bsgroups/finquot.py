@@ -12,7 +12,8 @@ Two families of finite p-group quotients are built explicitly:
 Both are metabelian, so a word's image is a closed form in its a-exponent
 sums per t-level (words.level_sums), whose cost does not depend on |Q|.
 A record's image of a word is its fold of those sums, through fq_eval; a
-search takes the sums once and folds them in every quotient of the family.
+search takes the sums once, folds them in every quotient of the family,
+and keeps them in its certificate, whose verify() folds them again.
 A record's mul and inv are its law, the product rule that the fold obeys.
 
 Their lower central series have closed forms.  From gamma_2 on, every
@@ -165,8 +166,9 @@ def fq_eval(q: FinQuot, w: Word):
 
 
 def bs_relation_holds(q: FinQuot, m: int, n: int) -> bool:
-    """Check t^-1 a^m t = a^n on the generator images."""
-    return fq_eval(q, Word.from_pairs((("t", -1), ("a", m), ("t", 1), ("a", -n)))) == q.identity
+    """Check t^-1 a^m t = a^n on the generator images: the relator's level
+    sums are a^m at level 1 and a^-n at level 0."""
+    return q.fold({1: m, 0: -n}, 0) == q.identity
 
 
 def build_semidirect(p: int, k: int, j: int, m: int, n: int) -> Semidirect:
@@ -358,12 +360,13 @@ class Certificate(NamedTuple):
 
     Sound because images of gamma_i(G) land in gamma_i(Q) under any
     homomorphism: if the image avoids gamma_i(Q), the element avoids
-    gamma_i(G).
+    gamma_i(G).  The element is kept as its level image
+    (tuple(sums.items()), end), the level sums that every image folds.
     """
 
     m: int
     n: int
-    word: Word
+    levels: tuple[tuple[tuple[int, int], ...], int]
     quotient: FinQuot
     image: object
     i: int
@@ -381,11 +384,11 @@ class Certificate(NamedTuple):
         return f"{self.statement}\ngamma sizes: {list(self.gamma_sizes)}"
 
     def verify(self) -> bool:
-        """Recompute the image, the chain, and the membership verdict."""
-        q = self.quotient
+        """Refold the image, rebuild the chain, and recheck the verdict."""
+        q, (sums, end) = self.quotient, self.levels
         if not bs_relation_holds(q, self.m, self.n):
             return False
-        if fq_eval(q, self.word) != self.image:
+        if q.fold(dict(sums), end) != self.image:
             return False
         chain = _gamma_chain(q)  # not the cached chain that found it
         if tuple(chain.sizes) != self.gamma_sizes:
@@ -393,8 +396,8 @@ class Certificate(NamedTuple):
         return not chain.contains(self.i, self.image)
 
     def to_json_dict(self) -> dict:
-        # m, n and the word are the question and are left out, so the free
-        # word is never walked; the quotient is spelled by its own JSON.
+        # m, n and the levels are the question and are left out; the
+        # quotient is spelled by its own JSON.
         return {
             **self.quotient.to_json_dict(),
             "image": json_fields(self.image),
@@ -470,12 +473,12 @@ def certify_not_in_gamma(
     """
     if i < 2:
         raise DomainError("certification index must be >= 2")
-    sums = level_sums(w)  # every image is a fold of these
+    sums, end = level_sums(w)  # every image is a fold of these
     for q in _checked_family(m, n, budget):
-        image = q.fold(*sums)
+        image = q.fold(sums, end)
         if image == q.identity:
             continue
         chain = fq_gamma_series(q)
         if not chain.contains(i, image):
-            return Certificate(m, n, w, q, image, i, tuple(chain.sizes))
+            return Certificate(m, n, (tuple(sums.items()), end), q, image, i, tuple(chain.sizes))
     return None

@@ -19,7 +19,6 @@ against Britton normal forms before being returned.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import NamedTuple
 
 from .britton import BSParams, bs_group
@@ -129,7 +128,7 @@ def gamma_membership_witness(
         raise DomainError(f"target depth s must be between 2 and {MAX_NESTING + 1}")
     if p.m < 1:
         raise DomainError("witness construction expects m >= 1")
-    d = gcd(p.m, abs(p.n))
+    d = p.d
     if p.n != p.m + d:
         raise DomainError(
             f"no witness recipe for BS({decimal(p.m)},{decimal(p.n)}): it needs n = m + gcd(m, n)"

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import os
 import re
+from functools import cache
 from itertools import compress, count
 from operator import ne
 from typing import Callable, NamedTuple
@@ -121,6 +122,16 @@ def _int_literal(sign: str, digits: str, cap: int) -> int:
         raise ExponentCapExceeded(bits, cap, at_least=True)
     value = _check_cap(decimal(body), cap)
     return -value if sign else value
+
+
+def _power_exponent(alpha: int, e: int, cap: int) -> int:
+    """alpha e, the exponent of (g^alpha)^e.  Square-and-multiply grows the
+    exponent by at most one bit a step, so it stops at cap + 1 bits: report
+    what it reports."""
+    r = alpha * e
+    if r.bit_length() > cap:
+        raise ExponentCapExceeded(cap + 1, cap)
+    return r
 
 
 def _check_size(syllables: int) -> None:
@@ -434,15 +445,12 @@ def free_group(cap: int) -> Group:
     commutator, conjugate or negative power reverses a long word: every
     product is tuple slicing and concatenation, and a commutator builds its
     two halves and nothing else."""
-    values: dict[Word, tuple[Word, Word]] = {}
 
+    @cache
     def word(w: Word) -> tuple[Word, Word]:
         # a tree repeats its generator letters, so each distinct run is
         # inverted once per group
-        value = values.get(w)
-        if value is None:
-            value = values[w] = (_capped(w, cap), w.inverse())
-        return value
+        return _capped(w, cap), w.inverse()
 
     def mul(x: tuple[Word, Word], y: tuple[Word, Word]) -> tuple[Word, Word]:
         # y^-1 x^-1 cancels the mirror image of the seam of x y
@@ -550,11 +558,7 @@ def _power_word(x: tuple[Word, Word], e: int, cap: int) -> Word:
     u, ui, c = ws[:j], ws[k:], ws[j:k]
     (g, alpha), (h, beta) = c[0], c[-1]
     if len(c) == 1:
-        # square-and-multiply grows the exponent by at most one bit a step,
-        # so it stops at cap + 1 bits: report what it reports
-        if (alpha * e).bit_length() > cap:
-            raise ExponentCapExceeded(cap + 1, cap)
-        return Word(u + ((g, alpha * e),) + ui)
+        return Word(u + ((g, _power_exponent(alpha, e, cap)),) + ui)
     if g == h:
         _check_cap(alpha + beta, cap)
     _check_size(2 * j + len(c) * e - (e - 1) * (g == h))

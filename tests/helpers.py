@@ -208,16 +208,16 @@ def reference_certify(m: int, n: int, w: Word, i: int, budget=DEFAULT_BUDGET):
     it reaches.  The oracle for the search over the checked, cached family."""
     if i < 2:
         raise DomainError("certification index must be >= 2")
-    sums = level_sums(w)
+    sums, end = level_sums(w)
     for q in quotient_family(m, n, budget):
         if not bs_relation_holds(q, m, n):
             raise VerificationError(f"family produced an invalid quotient {q.describe()}")
-        image = q.fold(*sums)
+        image = q.fold(sums, end)
         if image == q.identity:
             continue
         chain = fq_gamma_series(q)
         if not chain.contains(i, image):
-            return Certificate(m, n, w, q, image, i, tuple(chain.sizes))
+            return Certificate(m, n, (tuple(sums.items()), end), q, image, i, tuple(chain.sizes))
     return None
 
 

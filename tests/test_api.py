@@ -241,7 +241,7 @@ def _records():
         (SearchBudget(), 'SearchBudget(k_max=6, j_max=4, order_cap=1000000)'),
         (
             cert,
-            "Certificate(m=1, n=3, word=Word(syllables=(('a', 2),)), "
+            "Certificate(m=1, n=3, levels=(((0, 2),), 0), "
             "quotient=Semidirect(p=2, k=2, j=1, u=3), image=(2, 0), i=3, gamma_sizes=(8, 2, 1))",
         ),
         (

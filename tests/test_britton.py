@@ -18,7 +18,7 @@ from bsgroups.britton import (
     normalize,
 )
 from bsgroups.errors import DomainError, ExponentCapExceeded, WordSizeExceeded
-from bsgroups.words import Word, parse_word, power
+from bsgroups.words import Word, free_group, parse_word, power
 
 from helpers import (
     commutator,
@@ -457,6 +457,53 @@ def test_group_power_and_commutator_refusals(monkeypatch):
     assert G.power(BrittonNF(3), 85) == BrittonNF(255)
     with pytest.raises(ExponentCapExceeded, match="^exponent needs 9 bits, cap is 8$"):
         G.power(BrittonNF(3), -86)
+
+
+@st.composite
+def _generator_powers(draw):
+    """A small cap, a^alpha within it, and e with |e| >= 2."""
+    cap = draw(st.integers(1, 12))
+    alpha = draw(st.integers(1, min(3, 2**cap - 1)) | st.integers(1, 2**cap - 1))
+    e = draw(st.integers(2, 8) | st.integers(2, 2**14))
+    return cap, alpha * draw(st.sampled_from((1, -1))), e * draw(st.sampled_from((1, -1)))
+
+
+def _exponent_or_refusal(power_of):
+    try:
+        return power_of()
+    except ExponentCapExceeded as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generator_powers(), st.sampled_from(GRID))
+@example((8, 200, 2), BSParams(2, 3))  # "(a^200)^2": 400 needs 9 bits
+@example((8, 3, 85), BSParams(2, 3))  # 255 fits in 8 bits
+@example((8, -128, -2), BSParams(1, 3))  # 256 needs 9 bits
+def test_generator_powers_share_one_rule(case, p):
+    # (a^alpha)^e in the free group, in BS(m, n) and by square-and-multiply
+    # in the free group: one exponent, or one refusal at cap + 1 bits
+    cap, alpha, e = case
+    a = Word.from_pairs((("a", alpha),))
+    F, G = free_group(cap), bs_group(p, cap)
+    x = F.word(a)
+
+    def free_power():
+        w, wi = F.power(x, e)
+        assert wi == w.inverse() and len(w.syllables) == 1
+        return w.syllables[0][1]
+
+    def group_power():
+        nf = G.power(G.word(a), e)
+        assert not nf.tail
+        return nf.r0
+
+    want = _exponent_or_refusal(lambda: power(F, x, e)[0].syllables[0][1])
+    assert _exponent_or_refusal(free_power) == _exponent_or_refusal(group_power) == want
+    if (alpha * e).bit_length() > cap:
+        assert want == f"exponent needs {cap + 1} bits, cap is {cap}"
+    else:
+        assert want == alpha * e
 
 
 # The run stack: a run of britton._RUN or more equal canonical entries is one

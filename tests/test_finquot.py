@@ -307,24 +307,30 @@ def test_verify_rebuilds_the_chain(monkeypatch):
     monkeypatch.setattr("bsgroups.finquot.fq_gamma_series", lambda q: None)
     assert cert.verify()
     # a^2 lies in gamma_2 of BS(1, 3), so a claim at i = 2 must be refused
-    forged = Certificate(1, 3, cert.word, cert.quotient, cert.image, 2, cert.gamma_sizes)
+    forged = Certificate(1, 3, cert.levels, cert.quotient, cert.image, 2, cert.gamma_sizes)
     assert not forged.verify()
     # each recomputed fact is checked: the image, the chain, the relation
+    assert cert.levels == (((0, 2),), 0)
     assert cert.image == (2, 0) and cert.gamma_sizes == (8, 2, 1)
     assert not cert._replace(image=(3, 0)).verify()
+    # the image is refolded from the stored levels: a^3 for a^2, or a t-sum
+    # of -1 for 0, folds to another image
+    assert not cert._replace(levels=(((0, 3),), 0)).verify()
+    assert not cert._replace(levels=(((0, 2),), 1)).verify()
+    assert cert._replace(levels=(((0, 2), (1, 4)), 0)).verify()  # 4 u = 0 mod 4
     assert not cert._replace(gamma_sizes=(8, 2, 2)).verify()
     # Z_4 x| Z_2 with t acting trivially is abelian, so t^-1 a t = a^3 fails
     # in it; with its own image and chain, only the relation check refuses it
     q = Semidirect(2, 2, 1, 1)
     assert not bs_relation_holds(q, 1, 3)
-    forged = cert._replace(quotient=q, image=fq_eval(q, cert.word),
+    forged = cert._replace(quotient=q, image=q.fold({0: 2}, 0),
                            gamma_sizes=tuple(fq_gamma_series(q).sizes))
     assert not forged.verify()
 
 
 def test_certify_sums_the_levels_once(monkeypatch):
-    # all 18 quotients of BS(1, 3) fold the same level sums: one call for the
-    # search, one more in verify()
+    # all 18 quotients of BS(1, 3) fold the same level sums, and verify()
+    # refolds the certificate's copy of them: one call for both
     from bsgroups import finquot
 
     w = parse_word("[a, t]^2 T a^2 t")
@@ -339,7 +345,7 @@ def test_certify_sums_the_levels_once(monkeypatch):
     assert len(quotient_family(1, 3)) == 18
     cert = certify_not_in_gamma(1, 3, w, 3)
     assert cert is not None and searched == 1
-    assert cert.verify() and searched == 2
+    assert cert.verify() and searched == 1
     # an inconclusive search also reads the word once: a 4-fold
     # [..[a, t].., t] lies in gamma_5
     w = parse_word("[[[[a, t], t], t], t]")
@@ -433,8 +439,10 @@ def test_relation_holds_across_family():
         assert fam, (m, n)
         orders = [q.order for q in fam]
         assert orders == sorted(orders)
+        relator = Word.from_pairs((("t", -1), ("a", m), ("t", 1), ("a", -n)))
         for q in fam:
             assert bs_relation_holds(q, m, n)
+            assert product_fq_eval(q, relator) == q.identity  # by the product rule
             assert q.order <= DEFAULT_ORDER_CAP
 
 

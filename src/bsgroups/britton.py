@@ -97,7 +97,7 @@ power past the limit is refused before any squaring.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import partial
 from itertools import chain, compress, count, cycle, islice, repeat, zip_longest
 from math import gcd
 from operator import eq, itemgetter, length_hint, ne, neg
@@ -555,9 +555,13 @@ def bs_group(p: BSParams, max_bits: int | None = None) -> Group:
     """
     cap = resolve_max_bits(max_bits)
 
-    @cache
+    values: dict[Word, BrittonNF] = {}
+
     def word(w: Word) -> BrittonNF:
-        return normalize(p, w, cap)
+        value = values.get(w)
+        if value is None:
+            value = values[w] = normalize(p, w, cap)
+        return value
 
     def commutator(x: BrittonNF, y: BrittonNF) -> BrittonNF:
         return _scan(p, _ONE, (_inverse(x), _inverse(y), _forward(x), _forward(y)), cap)

@@ -152,11 +152,9 @@ def _cmd_oracle_build(args):
 
 def _cmd_oracle_certify(args):
     from .finquot import SearchBudget, certify_not_in_gamma
-    from .words import parse_word
 
-    word = parse_word(args.word, args.max_bits)
     budget = SearchBudget(k_max=args.k, j_max=args.j)
-    cert = certify_not_in_gamma(args.m, args.n, word, args.i, budget)
+    cert = certify_not_in_gamma(args.m, args.n, args.word, args.i, budget, args.max_bits)
     if cert is None:
         text = "inconclusive: no quotient in the budgeted family separates the element"
         return text, {"certificate": None, "conclusive": False}

@@ -11,10 +11,10 @@ Two families of finite p-group quotients are built explicitly:
 
 Both are metabelian, so a word's image is a closed form in its a-exponent
 sums per t-level (words.level_sums), whose cost does not depend on |Q|.
-A record's image of a word is its fold of those sums, through fq_eval; a
-search takes the sums once, folds them in every quotient of the family,
-and keeps them in its certificate, whose verify() folds them again.
-A record's mul and inv are its law, the product rule that the fold obeys.
+A record's image of a word is its fold of those sums (fq_eval), and its
+mul and inv are its law, the product rule that the fold obeys.  A search
+folds a Word's sums, or evaluates a bracketed text by that law, in each
+quotient; its certificate keeps the sums or the image as levels.
 
 Their lower central series have closed forms.  From gamma_2 on, every
 term lies in the abelian base: p^min(k, (i-1)v) Z_{p^k} for the semidirect
@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .classify import canonical_form, json_fields
 from .errors import DomainError, VerificationError
 from .intmath import decimal, is_prime, prime_factors, valuation
-from .words import Word, level_sums
+from .words import Group, Word, evaluate, level_sums, power, read_text
 
 CONSTRUCTION_ORDER_CAP = 10_000_000
 
@@ -163,6 +163,13 @@ FinQuot = Semidirect | Wreath
 def fq_eval(q: FinQuot, w: Word):
     """Image of w in q: the fold of its level sums, whose cost does not depend on |Q|."""
     return q.fold(*level_sums(w))
+
+
+def _group(q: FinQuot) -> Group:
+    """q as a Group for words.evaluate; every element's order divides p^(k + j)."""
+    p, k, j = q[:3]
+    return Group(q.identity, partial(fq_eval, q), q.mul, q.inv,
+                 lambda x, e: power(q, x, e % p ** (k + j)))
 
 
 def bs_relation_holds(q: FinQuot, m: int, n: int) -> bool:
@@ -360,8 +367,10 @@ class Certificate(NamedTuple):
 
     Sound because images of gamma_i(G) land in gamma_i(Q) under any
     homomorphism: if the image avoids gamma_i(Q), the element avoids
-    gamma_i(G).  The element is kept as its level image
-    (tuple(sums.items()), end), the level sums that every image folds.
+    gamma_i(G).  The element is kept as levels (tuple(sums.items()), end)
+    that the quotient folds to the image: a Word's level sums, or a
+    bracketed text's image (f, s) with f[c] at level -c (f is one entry in
+    a semidirect product) and end -s.
     """
 
     m: int
@@ -462,23 +471,30 @@ def _checked_family(m: int, n: int, budget: SearchBudget) -> tuple[FinQuot, ...]
 def certify_not_in_gamma(
     m: int,
     n: int,
-    w: Word,
+    w: Word | str,
     i: int,
     budget: SearchBudget = DEFAULT_BUDGET,
+    max_bits: int | None = None,
 ) -> Certificate | None:
-    """Search the budgeted quotient family for a gamma_i exclusion proof.
+    """Search the budgeted quotient family for a gamma_i exclusion proof for
+    a Word or a text, read under the bit cap max_bits.
 
     None means no quotient in the family separated the element; that is
     inconclusive, not a membership proof.
     """
+    x = read_text(w, max_bits) if isinstance(w, str) else w
     if i < 2:
         raise DomainError("certification index must be >= 2")
-    sums, end = level_sums(w)  # every image is a fold of these
+    if isinstance(x, Word):
+        sums, end = level_sums(x)  # every image is a fold of these
     for q in _checked_family(m, n, budget):
-        image = q.fold(sums, end)
+        image = q.fold(sums, end) if isinstance(x, Word) else evaluate(_group(q), x)
         if image == q.identity:
             continue
         chain = fq_gamma_series(q)
         if not chain.contains(i, image):
+            if not isinstance(x, Word):  # the image as levels that q folds back to it
+                f, s = image
+                sums, end = {-c: y for c, y in enumerate(f if isinstance(f, tuple) else (f,))}, -s
             return Certificate(m, n, (tuple(sums.items()), end), q, image, i, tuple(chain.sizes))
     return None

@@ -15,8 +15,8 @@ Conventions used by the whole package:
     brackets nest at most MAX_NESTING = 200 levels deep.  The parser reads a
     run of generator letters, with the power that may follow its last
     letter, in one regex match, and gives every letter a shared node.
-    evaluate_text, and parse_word through it, read a text with no bracket or
-    parenthesis straight to syllables with the same regex, and build no tree.
+    read_text, which every text reader calls, reads a text with no bracket
+    or parenthesis straight to syllables with the same regex, building no tree.
 
 An expression is evaluated in any Group: a run of generator powers goes to
 the group as one free word, and the values of a product's factors are
@@ -35,8 +35,8 @@ and their product off the halves of x and y and builds only the halves of
 
 A word's a-exponent sum at each t-level (level_sums) is all that its image
 in a metabelian group needs: the abelianization, the affine model of
-BS(1, n) and the finite quotients all read it.  A finite quotient is a fold
-of these sums (finquot.fq_eval), not a Group.
+BS(1, n) and the finite quotients all read it.  A finite quotient folds
+these sums (finquot.fq_eval), or evaluates a tree by its law as a Group.
 
 All exponents are exact Python ints.  Rewriting elsewhere in the package can
 make exponents explode (conjugation by t^k scales a-exponents by n^k), so a
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import os
 import re
-from functools import cache
 from itertools import compress, count
 from operator import ne
 from typing import Callable, NamedTuple
@@ -446,11 +445,13 @@ def free_group(cap: int) -> Group:
     product is tuple slicing and concatenation, and a commutator builds its
     two halves and nothing else."""
 
-    @cache
+    values: dict[Word, tuple[Word, Word]] = {}  # each distinct run is inverted once
+
     def word(w: Word) -> tuple[Word, Word]:
-        # a tree repeats its generator letters, so each distinct run is
-        # inverted once per group
-        return _capped(w, cap), w.inverse()
+        value = values.get(w)
+        if value is None:
+            value = values[w] = (_capped(w, cap), w.inverse())
+        return value
 
     def mul(x: tuple[Word, Word], y: tuple[Word, Word]) -> tuple[Word, Word]:
         # y^-1 x^-1 cancels the mirror image of the seam of x y
@@ -642,35 +643,36 @@ def evaluate(G: Group, expr: CommExpr):
     raise TypeError(f"not a CommExpr: {expr!r}")
 
 
-def _flat_word(text: str, cap: int) -> Word | None:
-    """The Word of a text of generator runs only, or None for any other text.
+def read_text(text: str, max_bits: int | None = None) -> Word | CommExpr:
+    """The one reader of a text: the Word of a text of generator runs only,
+    which is what evaluating its tree gives, or else the parsed tree.
     Literals are read in text order, so an over-cap literal raises here as in
     the parser; any other fault is left to the parser to report."""
-    if "(" in text or "[" in text:
-        return None
+    cap = resolve_max_bits(max_bits)
     pairs: list[tuple[str, int]] = []
     syllable = _SYLLABLES.__getitem__
-    for letters, caret, sign, digits, other in _FLAT.findall(text):
+    flat = "(" not in text and "[" not in text
+    for letters, caret, sign, digits, other in _FLAT.findall(text) if flat else ():
         if caret:
             if not digits:
-                return None
+                break
             pairs += map(syllable, letters[:-1])
             gen, e = syllable(letters[-1])
             pairs.append((gen, e * _int_literal(sign, digits, cap)))
         elif letters:
             pairs += map(syllable, letters)
         elif other:
-            return None
-    return Word.from_pairs(pairs) if pairs else None
+            break
+    else:
+        if pairs:
+            return Word.from_pairs(pairs)
+    return parse_expr(text, cap)
 
 
 def evaluate_text(G: Group, text: str, max_bits: int | None = None):
-    """Value in G of the expression a text spells: a text without brackets or
-    parentheses goes straight to syllables and to G.word in one call, which is
-    what evaluating its tree does; any other text is parsed and evaluated."""
-    cap = resolve_max_bits(max_bits)
-    w = _flat_word(text, cap)
-    return evaluate(G, parse_expr(text, cap)) if w is None else G.word(w)
+    """Value in G of a text: its Word goes to G.word in one call, a tree to evaluate."""
+    x = read_text(text, max_bits)
+    return G.word(x) if isinstance(x, Word) else evaluate(G, x)
 
 
 def parse_word(text: str, max_bits: int | None = None) -> Word:
@@ -679,10 +681,10 @@ def parse_word(text: str, max_bits: int | None = None) -> Word:
     anything but a generator, or a top-level commutator, to its word half:
     none of them builds an inverse."""
     cap = resolve_max_bits(max_bits)
-    w = _flat_word(text, cap)
-    if w is not None:
-        return _capped(w, cap)
-    expr, F = parse_expr(text, cap), free_group(cap)
+    expr = read_text(text, cap)
+    if isinstance(expr, Word):
+        return _capped(expr, cap)
+    F = free_group(cap)
     if isinstance(expr, Power) and _syllable(expr) is None:
         return _power_word(evaluate(F, expr.base), expr.exp, cap)
     if isinstance(expr, Commutator):

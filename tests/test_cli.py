@@ -340,13 +340,37 @@ def test_deep_witnesses_answer(capsys):
     _assert_one_line_error(code, err)
 
 
-def test_free_word_size_limit(capsys):
+def _tower(depth: int) -> str:
     tower = "a"
-    for _ in range(20):
+    for _ in range(depth):
         tower = f"[{tower}, t]"
-    code, _, err = _run(capsys, ["oracle", "certify", "-m", "2", "-n", "4", "-i", "3", tower])
+    return tower
+
+
+def test_free_word_size_limit(capsys):
+    # witness member builds its target's free word, which passes the limit
+    code, _, err = _run(capsys, ["witness", "member", "-m", "2", "-n", "4", "-s", "3", _tower(20)])
     _assert_one_line_error(code, err)
-    assert "syllables" in err
+    assert err == "error: word would reach 2097153 syllables, limit 2000000\n"
+    # oracle certify evaluates its text in each quotient and builds none
+    code, out, _ = _run(capsys, ["oracle", "certify", "-m", "2", "-n", "4", "-i", "3", _tower(20)])
+    assert code == 0
+    assert out == "inconclusive: no quotient in the budgeted family separates the element"
+    code, out, _ = _run(capsys, ["oracle", "certify", "-m", "2", "-n", "4", "-i", "2", _tower(200) + " a"])
+    assert code == 0
+    assert out.splitlines() == [
+        "image ((1, 0), 0) of the element in Z_2 wr Z_2 lies outside gamma_2(Q), "
+        "hence the element lies outside gamma_2(BS(2,4))",
+        "gamma sizes: [8, 2, 1]",
+        "re-verified: true",
+    ]
+
+
+def test_certify_reports_a_parse_error_first(capsys):
+    # the text is read before the index and the parameters are checked
+    code, _, err = _run(capsys, ["oracle", "certify", "-m", "0", "-n", "3", "-i", "1", "a^"])
+    _assert_one_line_error(code, err)
+    assert err == "error: expected an integer (at position 2)\n"
 
 
 def test_affine_powers_are_refused_before_they_are_formed(capsys):

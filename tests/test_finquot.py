@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 import bsgroups.finquot as finquot
 from bsgroups.britton import BSParams, nf_equal
 from bsgroups.classify import json_fields
-from bsgroups.errors import DomainError, VerificationError
+from bsgroups.errors import DomainError, ParseError, VerificationError
 from bsgroups.finquot import (
     Certificate,
     SearchBudget,
     Semidirect,
     Wreath,
+    _group,
     _howell,
     _in_span,
     bs_relation_holds,
@@ -30,7 +31,21 @@ from bsgroups.finquot import (
     quotient_family,
 )
 from bsgroups.intmath import prime_factors, valuation
-from bsgroups.words import Group, Word, decimal, evaluate, level_sums, parse_expr, parse_word, power
+from bsgroups.words import (
+    Commutator,
+    Gen,
+    Group,
+    Power,
+    Product,
+    Word,
+    decimal,
+    evaluate,
+    level_sums,
+    parse_expr,
+    parse_word,
+    power,
+    pretty_print,
+)
 
 from helpers import (
     assert_same_json,
@@ -601,6 +616,62 @@ def test_quotients_are_groups_for_evaluate():
         G = Group(q.identity, lambda w, q=q: q.fold(*level_sums(w)), q.mul, q.inv)
         for text in ("[[a, t], t]", "(a^3 T)^5 [a^2, t^-1]", "T^7 a t^7"):
             assert evaluate(G, parse_expr(text)) == fq_eval(q, parse_word(text)), text
+
+
+# Semidirect primes, wreath primes, n = m and n = -m.
+TEXT_GROUPS = ((1, 3), (2, 4), (3, -5), (2, -2), (4, 8), (6, 6), (1, -7), (9, -9), (5, 10))
+_LETTERS = st.sampled_from([Gen("a"), Gen("t"), Power(Gen("a"), -1), Power(Gen("t"), -1)])
+
+
+def _exprs(depth: int):
+    """Expressions of depth at most `depth`, with powers up to +-9."""
+    if depth == 0:
+        return _LETTERS
+    kids = _exprs(depth - 1)
+    return st.one_of(
+        _LETTERS,
+        st.builds(Power, kids, st.integers(-9, 9)),
+        st.builds(lambda fs: Product(tuple(fs)), st.lists(kids, min_size=1, max_size=3)),
+        st.builds(Commutator, kids, kids),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TEXT_GROUPS), _exprs(5), st.integers(2, 6))
+def test_text_certifies_as_its_word(group, expr, i):
+    # a text is evaluated in each quotient by its law, a Word folded: the
+    # same search answer, and every member's value is the product rule's
+    m, n = group
+    text = pretty_print(expr)
+    w = parse_word(text)
+    got, want = certify_not_in_gamma(m, n, text, i), certify_not_in_gamma(m, n, w, i)
+    assert (got is None) == (want is None), text
+    if got is not None:
+        assert got[3:] == want[3:], text  # quotient, image, i, gamma_sizes
+        assert got.verify()
+    tree = parse_expr(text)
+    for q in quotient_family(m, n):
+        assert evaluate(_group(q), tree) == product_fq_eval(q, w), (q, text)
+
+
+def test_text_powers_cost_no_word():
+    # (10^290000)-th powers are taken in each quotient with the exponent
+    # reduced mod p^(k + j): no free word, and no squaring per bit
+    huge = "1" + "0" * 290_000
+    start = time.perf_counter()
+    assert certify_not_in_gamma(1, 3, f"[a,t]^{huge}", 3) is None  # [a, t]^even is 2^k a^2k
+    odd = certify_not_in_gamma(1, 3, f"[a,t]^{huge[:-1]}1", 3)
+    assert time.perf_counter() - start < 1.0
+    assert odd[3:] == certify_not_in_gamma(1, 3, parse_word("[a,t]"), 3)[3:]
+    assert odd.levels == (((0, 2),), 0) and odd.verify()
+
+
+def test_text_parse_error_comes_first():
+    # read before the index and the parameters are checked, as the CLI did
+    with pytest.raises(ParseError, match=r"^expected an integer \(at position 2\)$"):
+        certify_not_in_gamma(0, 3, "a^", 1)
+    with pytest.raises(DomainError, match="index"):
+        certify_not_in_gamma(0, 3, "a^2", 1)
 
 
 def test_certify_examples():

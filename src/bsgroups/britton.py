@@ -93,6 +93,16 @@ after one size check: when x x pops nothing at its seam, neither does any
 seam of x^j with x, since the last entry of x^j is x's own and decides the
 seam the same way, so x^e has exactly |e| times x's tail entries, and a
 power past the limit is refused before any squaring.
+
+nf_equal pays for where two words differ.  Their longest common syllable
+prefix P and suffix S are cut, as P u S = P v S exactly when u = v.  Middles
+u and v with different images in the abelianization G/G' = Z x Z_|n-m| (the
+t-exponent sum, and the a-exponent sum mod |n - m|, exact when n = m) are
+unequal; other middles are normalized and compared.  A middle's form can
+pass the bit cap or the size limit where the full forms do not, as P or S
+may cancel part of it; then the full forms are compared.  So nf_equal
+answers wherever the full forms do, with their answer, and may answer
+pairs whose full forms are refused.
 """
 
 from __future__ import annotations
@@ -103,9 +113,9 @@ from math import gcd
 from operator import eq, itemgetter, length_hint, ne, neg
 from typing import NamedTuple
 
-from .errors import DomainError, ExponentCapExceeded
+from .errors import DomainError, ExponentCapExceeded, WordSizeExceeded
 from .intmath import valuation
-from .words import Group, Word, decimal, level_sums, power, resolve_max_bits
+from .words import Group, Word, decimal, power, resolve_max_bits
 from . import words
 from .words import _check_cap, _check_size, _power_exponent
 
@@ -327,15 +337,18 @@ def _flatten(items: list) -> tuple:
 def _periodic_run(seq: tuple, j: int, period: int) -> int:
     """How many items from seq[j] on equal the one period places before
     them.  Such a run repeats seq[j - period : j]: each of its period lanes
-    holds one item, counted at C speed in slices that double, so a run of c
-    costs O(c) and no run one short slice."""
+    holds one item, counted at C speed in strided slices of seq that double,
+    so a run of c costs O(c) and no run one short slice.  Only the slice
+    that holds a break is copied whole, to find it."""
     ref, c, h = seq[j - period : j], 0, 8
     while True:
-        part = seq[j + c : j + c + h]  # c is a multiple of 8, so of period
-        if sum(part[i::period].count(v) for i, v in enumerate(ref)) < len(part):
-            return c + next(compress(count(), map(ne, part, cycle(ref))))
-        c += len(part)
-        if len(part) < h:
+        # c is a multiple of 8, so of period: lane i starts at j + c + i
+        at = j + c
+        k = min(h, len(seq) - at)
+        if sum(seq[at + i : at + k : period].count(v) for i, v in enumerate(ref)) < k:
+            return c + next(compress(count(), map(ne, seq[at : at + k], cycle(ref))))
+        c += k
+        if k < h:
             return c
         h *= 2
 
@@ -540,9 +553,40 @@ def nf_invert(p: BSParams, x: BrittonNF, max_bits: int | None = None) -> Britton
     return _scan(p, _ONE, (_inverse(x),), resolve_max_bits(max_bits))
 
 
+def _exponent_sums(syl: tuple) -> tuple[int, int]:
+    """The t- and a-exponent sums of a reduced word's syllables, which
+    alternate: every other one from the first t-syllable on is a t."""
+    k = 1 if syl and syl[0][0] == "a" else 0
+    return sum(map(_EXP, syl[k::2])), sum(map(_EXP, syl[1 - k :: 2]))
+
+
 def nf_equal(p: BSParams, u: Word, v: Word, max_bits: int | None = None) -> bool:
+    """Whether u = v in BS(m, n), at the cost of where they differ.
+
+    The longest common syllable prefix P and suffix S are cut: u = P u' S
+    and v = P v' S are equal exactly when u' = v'.  Middles with different
+    images in G/G' = Z x Z_|n-m| (the t-exponent sum, and the a-exponent sum
+    mod |n - m|, exact when n = m) are not equal; other middles are compared
+    by their normal forms.  Where a middle's form passes the bit cap
+    or the size limit, the full forms are compared, so every pair whose full
+    forms answer gets their answer, and the refusal is theirs.  Pairs whose
+    full forms pass a limit may be answered all the same.
+    """
     cap = resolve_max_bits(max_bits)
-    return normalize(p, u, cap) == normalize(p, v, cap)
+    us, vs = u.syllables, v.syllables
+    i = next(compress(count(), map(ne, us, vs)), min(len(us), len(vs)))
+    us, vs = us[i:], vs[i:]  # the suffix is cut from what is left: no overlap
+    j = next(compress(count(), map(ne, reversed(us), reversed(vs))), min(len(us), len(vs)))
+    us, vs = us[: len(us) - j], vs[: len(vs) - j]
+    (tu, au), (tv, av) = _exponent_sums(us), _exponent_sums(vs)
+    mod = abs(p.n - p.m)
+    if tu != tv or ((au - av) % mod if mod else au != av):
+        return False
+    try:
+        # a slice of a reduced word is reduced
+        return normalize(p, Word(us), cap) == normalize(p, Word(vs), cap)
+    except (ExponentCapExceeded, WordSizeExceeded):
+        return normalize(p, u, cap) == normalize(p, v, cap)
 
 
 def bs_group(p: BSParams, max_bits: int | None = None) -> Group:
@@ -594,6 +638,6 @@ class AbImage(NamedTuple):
 
 
 def abelianize(p: BSParams, w: Word) -> AbImage:
-    sums, end = level_sums(w)
-    sigma_a, mod = sum(sums.values()), abs(p.n - p.m)
-    return AbImage(-end, sigma_a % mod if mod else sigma_a, mod)
+    sigma_t, sigma_a = _exponent_sums(w.syllables)
+    mod = abs(p.n - p.m)
+    return AbImage(sigma_t, sigma_a % mod if mod else sigma_a, mod)

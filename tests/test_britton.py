@@ -769,3 +769,113 @@ def test_inverse_runs_are_refused_as_block_by_block(monkeypatch):
     assert nf_invert(p, normalize(p, parse_word("t^1000"))).tail == ((-1, 0),) * 1000
     with pytest.raises(WordSizeExceeded, match="^word would reach 1200 syllables, limit 1000$"):
         normalize(p, parse_word("t^600 " + "t a " * 600))
+
+
+# nf_equal cuts the shared prefix and suffix, rejects on G/G' and scans the
+# middles; comparing the two full normal forms is its oracle.
+
+@st.composite
+def equality_pairs(draw):
+    """(p, cap, u, v): a shared prefix and suffix around two middles.  The
+    second middle is the first with a relator conjugate spliced in, with a
+    t-power spliced in (another t-sum), with a^(k(n - m)) or a commutator
+    spliced in (the same image in G/G'), or the empty word.  Among the
+    groups are n = m and n = -m."""
+    p = draw(st.one_of(params, params.map(lambda p: BSParams(p.m, p.m)),
+                       params.map(lambda p: BSParams(p.m, -p.m))))
+    prefix, mid, suffix = (draw(st.lists(small_syllables, max_size=6)) for _ in range(3))
+    cut = draw(st.integers(0, len(mid)))
+    kind = draw(st.sampled_from(("splice", "t-sum", "a-sum", "commutator", "empty")))
+    if kind == "splice":
+        c = Word.from_pairs(draw(st.lists(small_syllables, max_size=3)))
+        rel = Word.from_pairs((("t", -1), ("a", p.m), ("t", 1), ("a", -p.n)))
+        if draw(st.booleans()):
+            rel = rel.inverse()
+        insert = (c.inverse() * rel * c).syllables
+    elif kind == "t-sum":
+        insert = (("t", draw(st.integers(-3, 3).filter(bool))),)
+    elif kind == "a-sum":
+        insert = (("a", draw(st.integers(-2, 2)) * (p.n - p.m)),)
+    elif kind == "commutator":
+        x, y = (Word.from_pairs(draw(st.lists(small_syllables, min_size=1, max_size=2))) for _ in "xy")
+        insert = commutator(x, y).syllables
+    other = [] if kind == "empty" else mid[:cut] + list(insert) + mid[cut:]
+    if draw(st.booleans()):
+        mid, other = other, mid
+    u, v = (Word.from_pairs(prefix + w + suffix) for w in (mid, other))
+    return p, draw(st.integers(3, 12)), u, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(equality_pairs())
+# middles that pass the cap where the full forms do not, among them n = -m
+@example((BSParams(2, 4), 5, parse_word("a^-3 t^-3 a^4 t^-3 a t"), parse_word("a^-3 t^-6 a t")))
+@example((BSParams(1, 4), 3, parse_word("t^3 a^4"), parse_word("t^3 a^-4 t^-1 a^3 t a^5")))
+@example((BSParams(3, 4), 3, parse_word("a^3 t^-1 a^-4"), parse_word("a^3 t a^-1 t^-2 a^-2")))
+@example((BSParams(3, 1), 3, parse_word("t^-3 a^-1 t^-1 a^3 t a"), parse_word("t^-3 a^-1 t^-1 a^3 t^2 a^3 t^-1")))
+@example((BSParams(2, 4), 10, parse_word("a^-3 t^-8 a^5"), parse_word("a^-3 t^-9 a^2 t a")))
+@example((BSParams(3, -3), 3, parse_word("t^-3 a^-4"), parse_word("t^-3 a^-5 t^2 a^-6 t^-1 a^-3 t a^3 t^-2 a")))
+@example((BSParams(3, 1), 3, parse_word("a^-2"), parse_word("a^-2 t a^3 t a^-1 t^-2")))
+@example((BSParams(1, 2), 7, parse_word("a^3 t^-7 a^-1 t^3 a^2"), parse_word("a^3 t^-8 a t a^-3 t^3 a^2")))
+def test_nf_equal_matches_full_normal_forms(case):
+    p, cap, u, v = case
+    try:
+        want = normalize(p, u, cap) == normalize(p, v, cap)
+    except ExponentCapExceeded:
+        # the full forms are refused: nf_equal may answer, as they do uncapped
+        try:
+            got = nf_equal(p, u, v, cap)
+        except ExponentCapExceeded:
+            return
+        assert got is (normalize(p, u, 4096) == normalize(p, v, 4096))
+        return
+    assert nf_equal(p, u, v, cap) is want
+    assert nf_equal(p, v, u, cap) is want
+
+
+def test_nf_equal_falls_back_to_the_full_forms(monkeypatch):
+    monkeypatch.setattr("bsgroups.words._MAX_SYLLABLES", 1000)
+    # the middles a^2 t^1200 a^-1 and a t^1200 pass the limit, and the full
+    # forms, a t^200 both, do not
+    p = BSParams(1, 1)
+    assert nf_equal(p, parse_word("T^1000 a^2 t^1200 a^-1"), parse_word("T^1000 a t^1200"))
+    # where the full forms are refused too, the refusal is theirs
+    with pytest.raises(WordSizeExceeded, match="^word would reach 3000 syllables, limit 1000$"):
+        nf_equal(BSParams(2, 3), parse_word("t^3000 a"), parse_word("t^2999 a^2 t"))
+
+
+def test_nf_equal_answers_past_the_full_forms_limit():
+    # the shared t^1000000 a blocks are cut: only T a^3 t and a^-2 (equal, as
+    # t^-1 a^3 t = a^-2) or a^-7 (the same image in Z x Z_5) are scanned
+    p = BSParams(3, -2)
+    u = parse_word("(t^1000000 a)^3 T a^3 t")
+    with pytest.raises(WordSizeExceeded):
+        normalize(p, u)
+    assert nf_equal(p, u, parse_word("(t^1000000 a)^3 a^-2"))
+    assert not nf_equal(p, u, parse_word("(t^1000000 a)^3 a^-7"))
+
+
+def _periodic_run_loop(seq, j, period):
+    c = 0
+    while j + c < len(seq) and seq[j + c] == seq[j + c - period]:
+        c += 1
+    return c
+
+
+@pytest.mark.parametrize("period", [1, 2])
+def test_periodic_run_matches_a_plain_loop(period):
+    # breaks at and around each boundary of the doubling slices, at the
+    # sequence end, and none at all
+    ref = ((1, 0), (-1, 2))[:period]
+    head = ((1, 5),)
+    j = len(head) + period
+    for length in (0, 1, 7, 8, 9, 100, 300):
+        body = ref * (1 + (length + period - 1) // period)
+        seq = head + body[: period + length]
+        breaks = {b + d for b in (8, 16, 24, 32, 56, 64, 120, 128, 248, 256) for d in (-1, 0, 1)}
+        breaks |= {0, 1, length - 1}
+        for b in sorted(x for x in breaks if 0 <= x < length):
+            for bad in {(0, 0), ref[(b + 1) % period]} - {ref[b % period]}:
+                broken = seq[: j + b] + (bad,) + seq[j + b + 1 :]
+                assert britton._periodic_run(broken, j, period) == _periodic_run_loop(broken, j, period) == b
+        assert britton._periodic_run(seq, j, period) == _periodic_run_loop(seq, j, period) == length

@@ -153,7 +153,8 @@ def split_central(p: BSParams, w: Word, max_bits: int | None = None) -> CentralS
 
     basis = fp_rewrite_basis(fp_normalize(m, w))
     lifted = lift_basis(p, basis)
-    rest = normalize(p, w * lifted.inverse(), max_bits)
+    cap = resolve_max_bits(max_bits)  # read once for both Britton calls
+    rest = normalize(p, w * lifted.inverse(), cap)
     if rest.tail:
         raise VerificationError("residual after removing free coordinates is not an a-power")
     if p.n == m:
@@ -164,7 +165,7 @@ def split_central(p: BSParams, w: Word, max_bits: int | None = None) -> CentralS
         raise VerificationError("central part is not a multiple of 2m")
     c = rest.r0 // (2 * m)
     recombined = Word.from_pairs((("a", 2 * m * c),)) * lifted
-    if not nf_equal(p, recombined, w, max_bits):
+    if not nf_equal(p, recombined, w, cap):
         raise VerificationError("reassembly a^(2mc) * lift(basis) does not reproduce the input")
     return CentralSplit(c, basis)
 

@@ -16,7 +16,10 @@ Conventions used by the whole package:
     run of generator letters, with the power that may follow its last
     letter, in one regex match, and gives every letter a shared node.
     read_text, which every text reader calls, reads a text with no bracket
-    or parenthesis straight to syllables with the same regex, building no tree.
+    or parenthesis straight to syllables with the same regex, building no
+    tree: one syllable per run of one letter, so aaaT is a^3 t^-1, reduced
+    by Word.from_pairs only when two syllables meet on one generator or a
+    power is 0.
 
 An expression is evaluated in any Group: a run of generator powers goes to
 the group as one free word, and the values of a product's factors are
@@ -50,7 +53,7 @@ from __future__ import annotations
 import os
 import re
 from itertools import compress, count
-from operator import ne
+from operator import itemgetter, ne
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, ExponentCapExceeded, ParseError, WordSizeExceeded
@@ -178,7 +181,11 @@ class Word(NamedTuple):
         return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word.from_pairs(self.syllables + other.syllables)
+        # both factors are reduced, so only their seam can cancel or merge;
+        # a product is not capped
+        xs, ys = self.syllables, other.syllables
+        k, i, seam = _seam(xs, ys)
+        return Word(xs[:k] + seam + ys[i:])
 
     def __str__(self) -> str:
         if not self.syllables:
@@ -282,6 +289,24 @@ CommExpr = Gen | Power | Product | Commutator
 # immutable.
 _SYLLABLES = {"a": ("a", 1), "A": ("a", -1), "t": ("t", 1), "T": ("t", -1)}
 _LETTERS = {c: Gen(g) if e == 1 else Power(Gen(g), e) for c, (g, e) in _SYLLABLES.items()}
+
+
+class _RunSyllables(dict):
+    """The syllable of a run of one letter, such as ("a", -3) for AAA; runs
+    of up to 16 letters are kept."""
+
+    def __missing__(self, run: str) -> tuple[str, int]:
+        gen, e = _SYLLABLES[run[0]]
+        syllable = (gen, e * len(run))
+        if len(run) <= 16:
+            self[run] = syllable
+        return syllable
+
+
+_RUN_SYLLABLES = _RunSyllables()
+_GEN, _EXP = itemgetter(0), itemgetter(1)  # of a syllable
+# The maximal runs of one letter in a run of generator letters.
+_LETTER_RUNS = re.compile("a+|A+|t+|T+").findall
 
 
 class _Parser:
@@ -434,7 +459,8 @@ def power(G, x, e: int):
 
 
 def _capped(w: Word, cap: int) -> Word:
-    _check_cap(max((abs(e) for _, e in w.syllables), default=0), cap)
+    if w.syllables:
+        _check_cap(max(map(abs, map(_EXP, w.syllables))), cap)
     return w
 
 
@@ -456,7 +482,9 @@ def free_group(cap: int) -> Group:
     def mul(x: tuple[Word, Word], y: tuple[Word, Word]) -> tuple[Word, Word]:
         # y^-1 x^-1 cancels the mirror image of the seam of x y
         xs, ys = x[0].syllables, y[0].syllables
-        k, i, seam = _seam(xs, ys, cap)
+        k, i, seam = _seam(xs, ys)
+        if seam:
+            _check_cap(seam[0][1], cap)
         _check_size(k + len(seam) + len(ys) - i)
         mirror = _mirror(seam)
         return (
@@ -476,16 +504,17 @@ def free_group(cap: int) -> Group:
     return Group((Word(), Word()), word, mul, inv, pow_, commutator)
 
 
-def _seam(xs, ys, cap: int) -> tuple[int, int, tuple]:
+def _seam(xs, ys) -> tuple[int, int, tuple]:
     """Where the product of reduced words xs and ys cancels or merges: it
     keeps xs[:k] and ys[i:], and seam is the merged syllable between them,
-    if any."""
+    if any.  Its exponent is not capped here: a free-group product checks
+    it, and a product of Words has no cap."""
     k, i, seam = len(xs), 0, ()
     while not seam and k and i < len(ys) and xs[k - 1][0] == ys[i][0]:
         k, i = k - 1, i + 1
         e = xs[k][1] + ys[i - 1][1]
         if e:
-            seam = ((ys[i - 1][0], _check_cap(e, cap)),)
+            seam = ((ys[i - 1][0], e),)
     return k, i, seam
 
 
@@ -507,11 +536,15 @@ def _commutator(x: tuple[Word, Word], y: tuple[Word, Word], cap: int, both: bool
     the halves of [x, y] are built, or with both false its word alone."""
     xs, xi = x[0].syllables, x[1].syllables
     ys, yi = y[0].syllables, y[1].syllables
-    k1, i1, s1 = _seam(xi, yi, cap)
+    k1, i1, s1 = _seam(xi, yi)
+    if s1:
+        _check_cap(s1[0][1], cap)
     a = xi, k1, s1, yi, i1  # x^-1 y^-1 as _cut reads it
     la = k1 + len(s1) + len(yi) - i1
     _check_size(la)
-    k2, i2, s2 = _seam(xs, ys, cap)
+    k2, i2, s2 = _seam(xs, ys)
+    if s2:
+        _check_cap(s2[0][1], cap)
     b = xs, k2, s2, ys, i2  # x y
     lb = k2 + len(s2) + len(ys) - i2
     _check_size(lb)
@@ -524,8 +557,10 @@ def _commutator(x: tuple[Word, Word], y: tuple[Word, Word], cap: int, both: bool
         first = xs[0] if k2 else s2[0] if s2 else ys[i2]
         n = 2 if last[0] == first[0] else 0
         while n:
-            k, c, seam = _seam(_cut(a, max(la - n, 0), la), _cut(b, 0, n), cap)
+            k, c, seam = _seam(_cut(a, max(la - n, 0), la), _cut(b, 0, n))
             n = 0 if seam or not (k == 0 < la - n or c == n < lb) else 2 * n
+        if seam:
+            _check_cap(seam[0][1], cap)
     _check_size(la - c + len(seam) + lb - c)
     w = Word(_cut(a, 0, la - c) + (seam + _cut(b, c, lb)))
     if not both:
@@ -646,26 +681,41 @@ def evaluate(G: Group, expr: CommExpr):
 def read_text(text: str, max_bits: int | None = None) -> Word | CommExpr:
     """The one reader of a text: the Word of a text of generator runs only,
     which is what evaluating its tree gives, or else the parsed tree.
-    Literals are read in text order, so an over-cap literal raises here as in
-    the parser; any other fault is left to the parser to report."""
+
+    A flat text is read one letter run per syllable (aaa is a^3, and a power
+    binds to the last letter of its run), and goes through Word.from_pairs
+    only when two syllables meet on one generator or a power is 0.  Literals
+    are read in text order, so an over-cap literal raises here as in the
+    parser; any other fault is left to the parser to report."""
     cap = resolve_max_bits(max_bits)
     pairs: list[tuple[str, int]] = []
-    syllable = _SYLLABLES.__getitem__
     flat = "(" not in text and "[" not in text
     for letters, caret, sign, digits, other in _FLAT.findall(text) if flat else ():
         if caret:
             if not digits:
                 break
-            pairs += map(syllable, letters[:-1])
-            gen, e = syllable(letters[-1])
-            pairs.append((gen, e * _int_literal(sign, digits, cap)))
+            if len(letters) > 1:
+                pairs += map(_RUN_SYLLABLES.__getitem__, _LETTER_RUNS(letters[:-1]))
+            gen, e = _SYLLABLES[letters[-1]]
+            # _int_literal's first case inline; it takes the others, and
+            # words the refusal
+            if len(digits) > 18 or (value := int(digits)).bit_length() > cap:
+                value = _int_literal("", digits, cap)
+            pairs.append((gen, -e * value if sign else e * value))
+        elif len(letters) == 1:
+            pairs.append(_SYLLABLES[letters])
         elif letters:
-            pairs += map(syllable, letters)
+            pairs += map(_RUN_SYLLABLES.__getitem__, _LETTER_RUNS(letters))
         elif other:
             break
     else:
         if pairs:
-            return Word.from_pairs(pairs)
+            # reduced already where no two neighbours share a generator and
+            # no power is 0
+            gens = "".join(map(_GEN, pairs))
+            if "aa" in gens or "tt" in gens or not all(map(_EXP, pairs)):
+                return Word.from_pairs(pairs)
+            return Word(tuple(pairs))
     return parse_expr(text, cap)
 
 

@@ -31,6 +31,8 @@ from bsgroups.words import (
     pretty_print,
     power,
     decimal,
+    read_text,
+    resolve_max_bits,
 )
 from helpers import reference_free_group, reference_parse_expr
 
@@ -63,6 +65,36 @@ def test_word_times_inverse_reduces_to_identity(pairs):
     w = Word.from_pairs(pairs)
     assert (w * w.inverse()).is_identity
     assert (w.inverse() * w).is_identity
+
+
+@st.composite
+def _factors(draw):
+    # y starts by undoing the last k syllables of x, and its next syllable may
+    # merge with or cancel what that exposes, so seams of every depth come up
+    x = Word.from_pairs(draw(word_pairs))
+    k = draw(st.integers(0, len(x.syllables)))
+    undo = Word(x.syllables[len(x.syllables) - k :]).inverse()
+    return x, Word.from_pairs(undo.syllables + tuple(draw(word_pairs)))
+
+
+_BIG = 1 << (DEFAULT_MAX_BITS - 1)  # within the cap; twice it is not
+
+
+@settings(max_examples=300)
+@given(_factors())
+@example((Word((("a", 1), ("t", 2))), Word((("t", -2), ("a", -1)))))  # cancels to 1
+@example((Word((("t", 1), ("a", 2))), Word((("a", -2), ("t", 3)))))  # a^0, then t^4
+@example((Word((("a", 1), ("t", 1), ("a", 2))), Word((("a", -2), ("t", -1), ("a", 3)))))  # a cascade to a^4
+def test_word_product_reduces_only_its_seam(xy):
+    x, y = xy
+    assert x * y == Word.from_pairs(x.syllables + y.syllables)
+    assert (x * y) * y.inverse() == x
+
+
+def test_word_product_is_not_capped():
+    # the seam a^(2^cap) passes the package cap and is built all the same
+    x, y = Word((("t", 1), ("a", _BIG))), Word((("a", _BIG), ("t", 1)))
+    assert (x * y).syllables == (("t", 1), ("a", 2 * _BIG), ("t", 1))
 
 
 # The exponent sums (sigma_a, sigma_t) are read through abelianize: in
@@ -574,6 +606,56 @@ def test_parse_word_flat_values():
         parse_word("a^3 a^3", 2)
     with pytest.raises(ExponentCapExceeded):
         parse_word("a^5 A^5", 2)  # the literal 5 is refused before anything cancels
+
+
+# Bracket-free texts for the flat reader, which reads a letter run per
+# syllable: runs of up to 40 letters with or without a power, literals with
+# signs, leading zeros and 19 digits or more, blanks, and in half of the texts
+# carets without digits and stray characters.
+_flat_literals = st.builds(
+    "^{}{}{}{}".format,
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from(["", "-"]),
+    st.sampled_from(["", "0", "00", "0" * 20]),
+    st.integers(0, 2**70),
+)
+_flat_pieces = st.builds(
+    "{}{}{}".format,
+    st.one_of(
+        st.text(alphabet="aAtT", min_size=1, max_size=20),
+        st.builds(str.__mul__, st.sampled_from("aAtT"), st.integers(1, 40)),
+    ),
+    st.one_of(st.just(""), _flat_literals),
+    st.sampled_from(["", " ", "\t", "  "]),
+)
+_flat_faults = st.sampled_from(["^", "^-", "^ ", "^ -", "-", "b", ",", "7", "]", "²"])
+_flat_reader_texts = st.one_of(
+    st.lists(_flat_pieces, max_size=8),
+    st.lists(st.one_of(_flat_pieces, _flat_pieces, _flat_faults), max_size=8),
+).map("".join)
+
+
+def _read_text_word(text, cap):
+    # read_text leaves the cap to the group its Word goes to
+    word = read_text(text, cap)
+    assert isinstance(word, Word)
+    return free_group(resolve_max_bits(cap)).word(word)[0]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_flat_reader_texts, st.sampled_from([1, 3, 64, None]))
+@example("aaa^-3 tT", None)  # the power cancels the run, then tT cancels
+@example("a t^0 a", None)  # t^0 vanishes and the a's merge
+@example("aA", None)
+@example("a^99 t^", 3)  # the over-cap literal is refused first
+@example("a^ t^99", 3)  # the missing integer is reported first
+@example("a^8 A^7", 3)  # a^1 is within the cap, the literal 8 is not
+@example("a" * 40 + "T", 64)  # a run longer than the runs kept
+def test_flat_reader_matches_the_parser(text, cap):
+    # the same Word, or the same error, message and position
+    want = _outcome(lambda s, c: _tree_word(s, resolve_max_bits(c)), text, cap)
+    assert _outcome(parse_word, text, cap) == want
+    assert _outcome(_read_text_word, text, cap) == want
 
 
 def _agrees_with_tree(G, text, cap):
